@@ -1,13 +1,15 @@
 // FlightRecorder tests: ring wrap/eviction semantics, RunSpec JSON
 // round-trip, structural validation of blockbench-blackbox-v1 dumps,
-// the golden 4-node PBFT partitioned black box (pinned by digest),
-// dump identity across sweep --jobs values, the replay-equivalence
-// contract (a RunSpec-reconstructed run produces a byte-identical
-// dump), and the message-seq breakpoint used by bbench --until.
+// the golden partitioned black boxes of all five engines and a 2-shard
+// run (pinned by digest), dump identity across sweep --jobs values, the
+// replay-equivalence contract (a RunSpec-reconstructed run produces a
+// byte-identical dump), and the message-seq breakpoint used by
+// bbench --until.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -189,8 +191,13 @@ void RunPartitioned(bench::MacroConfig cfg, double t_part, double t_heal) {
   (*run)->Run();
 }
 
-util::Json PartitionedPbftDump(FlightRecorder* rec) {
-  bench::MacroConfig cfg = BaseConfig("hyperledger", rec);
+util::Json PartitionedDump(const char* platform, double cross_shard,
+                           FlightRecorder* rec) {
+  bench::MacroConfig cfg = BaseConfig(platform, rec);
+  cfg.cross_shard_ratio = cross_shard;
+  // Outlive the 2PC prepare timeout (30 s), so prepares stranded by the
+  // partition end in coordinator aborts.
+  if (cross_shard > 0) cfg.duration = 40;
   RunPartitioned(cfg, 5.0, 10.0);
   RunSpec spec = bench::RunSpecFromMacro(cfg);
   spec.partition_start = 5.0;
@@ -199,30 +206,63 @@ util::Json PartitionedPbftDump(FlightRecorder* rec) {
   return rec->ToJson(spec, trig);
 }
 
-// The golden partitioned PBFT black box: the dump must validate, carry
-// consensus/fault/commit records, and serialize byte-for-byte to the
-// pinned digest (any change is a conscious golden update: print the new
-// dump, re-verify, re-pin). This pins the whole recording pipeline —
-// hook placement, record layout, name interning, slice traversal and
-// JSON shape at once.
+util::Json PartitionedPbftDump(FlightRecorder* rec) {
+  return PartitionedDump("hyperledger", 0, rec);
+}
+
+// The golden partitioned black boxes, one per consensus engine plus a
+// 2-shard PBFT run whose coordinator prepares, commits and aborts
+// cross-shard transactions: each dump must validate, carry records on
+// every server, and serialize byte-for-byte to its pinned digest (any
+// change is a conscious golden update: print the new dump, re-verify,
+// re-pin). This pins the whole recording pipeline — hook placement,
+// record layout, name interning, slice traversal and JSON shape at once.
 TEST(BlackboxGolden, PartitionedPbft4NodeByteForByte) {
   workloads::RegisterAllChaincodes();
-  FlightRecorder rec;
-  util::Json dump = PartitionedPbftDump(&rec);
-  ASSERT_TRUE(ValidateBlackbox(dump).ok())
-      << ValidateBlackbox(dump).ToString();
+  struct Case {
+    const char* platform;
+    double cross_shard;
+    size_t nodes;  // servers (+ coordinator) + clients
+    const char* digest;
+  };
+  const Case kCases[] = {
+      {"hyperledger", 0, 6,
+       "c6df644d110bb703494662d4e7006fbad64672d8dd92bff93be2e25cb2640f8d"},
+      {"ethereum", 0, 6,
+       "55bc98a91a43309aa0b241c69aabd60315d4a04c968d177f4f87694e69862eb3"},
+      {"parity", 0, 6,
+       "b171c2a09f10ccb5325d4b21d8115482b340088f7f498f204ed332a14ee43a60"},
+      {"corda", 0, 6,
+       "056cdb60cf44971b6c3514198f43d523c155853634dbcebaca6fdba7c6410be9"},
+      {"erisdb", 0, 6,
+       "4457d097a9512f506f6539d22a10229b19d1fe77eb969572eb33a6bf84fbb4cc"},
+      {"hyperledger@shards=2", 0.2, 11,
+       "d3d61c286e1fe43e20a1b77fa31b0f91ad2bcfe0859eb8be3799f284d28e4f32"},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.platform);
+    FlightRecorder rec;
+    util::Json dump = PartitionedDump(c.platform, c.cross_shard, &rec);
+    ASSERT_TRUE(ValidateBlackbox(dump).ok())
+        << ValidateBlackbox(dump).ToString();
 
-  // Every server recorded something; partition edges reached every node.
-  ASSERT_EQ(rec.num_nodes(), 6u);  // 4 servers + 2 clients
-  for (uint32_t n = 0; n < 4; ++n) EXPECT_GT(rec.recorded(n), 0u);
+    // Every server recorded something; partition edges reached every node.
+    ASSERT_EQ(rec.num_nodes(), c.nodes);
+    for (uint32_t n = 0; n < 4; ++n) EXPECT_GT(rec.recorded(n), 0u);
+    if (c.cross_shard > 0) {
+      std::set<std::string> names;
+      for (uint32_t i = 0; i < rec.num_names(); ++i) names.insert(rec.Name(i));
+      for (const char* xs : {"xs.prepare", "xs.commit", "xs.abort"}) {
+        EXPECT_EQ(names.count(xs), 1u) << xs;
+      }
+    }
 
-  std::string json = dump.Dump(2);
-  FlightRecorder rec2;
-  util::Json dump2 = PartitionedPbftDump(&rec2);
-  EXPECT_EQ(json, dump2.Dump(2));  // reproducible before golden
-  EXPECT_EQ(Sha256::Digest(json).ToHex(),
-            "c6df644d110bb703494662d4e7006fbad64672d8dd92bff93be2e25cb2640f8d")
-      << "dump starts:\n" << json.substr(0, 2000);
+    std::string json = dump.Dump(2);
+    FlightRecorder rec2;
+    EXPECT_EQ(json, PartitionedDump(c.platform, c.cross_shard, &rec2).Dump(2));
+    EXPECT_EQ(Sha256::Digest(json).ToHex(), c.digest)
+        << "dump starts:\n" << json.substr(0, 2000);
+  }
 }
 
 // Replay equivalence at the harness level: reconstruct the MacroConfig

@@ -1,6 +1,6 @@
 // Observability subsystem tests: MetricsRegistry label normalization and
-// merge semantics, Tracer lifecycle-milestone rules, the golden PBFT
-// 4-node trace, and trace identity across sweep --jobs values (the
+// merge semantics, Tracer lifecycle-milestone rules, the golden 4-node
+// traces of all five engines and a 2-shard run, and trace identity across sweep --jobs values (the
 // determinism contract of docs/OBSERVABILITY.md).
 
 #include <gtest/gtest.h>
@@ -418,9 +418,13 @@ bench::MacroConfig PbftConfig() {
   return cfg;
 }
 
-std::string RunPbftTrace() {
+std::string RunTrace(const char* platform, double cross_shard) {
   Tracer tracer;
   bench::MacroConfig cfg = PbftConfig();
+  auto opts = bench::OptionsFor(platform);
+  EXPECT_TRUE(opts.ok()) << platform;
+  cfg.options = *opts;
+  cfg.cross_shard_ratio = cross_shard;
   cfg.tracer = &tracer;
   auto run = bench::MacroRun::Create(cfg);
   EXPECT_TRUE(run.ok()) << run.status().ToString();
@@ -428,17 +432,39 @@ std::string RunPbftTrace() {
   return tracer.DumpChromeTrace();
 }
 
-// The golden PBFT 4-node trace: the full document is pinned by digest,
+// The golden 4-node traces, one per consensus engine plus a 2-shard
+// PBFT run with cross-shard 2PC: each full document is pinned by digest,
 // so any change to event content, ordering or formatting is a conscious
 // golden update (print the new digest and re-pin after verifying the
 // trace in Perfetto).
 TEST(TraceGolden, Pbft4NodeByteForByte) {
   workloads::RegisterAllChaincodes();
-  std::string trace = RunPbftTrace();
-  EXPECT_EQ(trace, RunPbftTrace());  // reproducible before golden
-  EXPECT_EQ(Sha256::Digest(trace).ToHex(),
-            "4e7d56d2718fc8a0b4ef23bba0f63002257c4a12cec7df731d5e760a24a32c59")
-      << "trace is " << trace.size() << " bytes";
+  struct Case {
+    const char* platform;
+    double cross_shard;
+    const char* digest;
+  };
+  const Case kCases[] = {
+      {"hyperledger", 0,
+       "4e7d56d2718fc8a0b4ef23bba0f63002257c4a12cec7df731d5e760a24a32c59"},
+      {"ethereum", 0,
+       "cdac9d875ca63134e7c8208904f0fcb5a222733c0aef30afdda24881569d00a3"},
+      {"parity", 0,
+       "fcfb129a2ce2d7dac033317234221657ba510825df948b53fb78f83a8e1a4933"},
+      {"corda", 0,
+       "20713e3333ca7e68209378ae1ccae719e31a89a978eb476214301350f22ab277"},
+      {"erisdb", 0,
+       "c73691ebb1cfe67052cd9998a8fedba2a1b14026bc8956ec11efffba8e38b99e"},
+      {"hyperledger@shards=2", 0.2,
+       "8e9abd73d100a3a9b5909793cf0d5b285d080333e23a78842e5c2c203f4e77b9"},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.platform);
+    std::string trace = RunTrace(c.platform, c.cross_shard);
+    EXPECT_EQ(trace, RunTrace(c.platform, c.cross_shard));  // reproducible
+    EXPECT_EQ(Sha256::Digest(trace).ToHex(), c.digest)
+        << "trace is " << trace.size() << " bytes";
+  }
 }
 
 // A sweep must produce identical traces no matter how many worker
