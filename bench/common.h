@@ -33,10 +33,9 @@
 #include "core/driver.h"
 #include "obs/memtrack.h"
 #include "obs/metrics.h"
+#include "obs/probe.h"
 #include "obs/profiler.h"
-#include "obs/recorder.h"
 #include "obs/sampler.h"
-#include "obs/trace.h"
 #include "platform/forensics.h"
 #include "platform/platform.h"
 #include "platform/registry.h"
@@ -88,8 +87,9 @@ struct MacroConfig {
   /// Smaller preloads keep bench startup fast without changing shape.
   uint64_t ycsb_records = 2000;
   uint64_t smallbank_accounts = 2000;
-  /// Optional tracer, attached to the simulation before the platform is
-  /// built (so every layer sees it). Not owned; must outlive the run.
+  /// Optional tracer, attached (through the run's obs::Probe) before the
+  /// platform is built, so every layer sees it. Not owned; must outlive
+  /// the run.
   obs::Tracer* tracer = nullptr;
   /// Optional live sampler. Init() attaches the standard per-server
   /// probes and schedules ticks through duration + drain; the timeline
@@ -166,13 +166,14 @@ class MacroRun {
   const MacroConfig& config() const { return config_; }
 
  private:
-  explicit MacroRun(MacroConfig config) : config_(std::move(config)) {}
+  explicit MacroRun(MacroConfig config)
+      : config_(std::move(config)),
+        probe_(config_.tracer, config_.recorder) {}
 
   Status Init() {
     BB_RETURN_IF_ERROR(config_.options.Validate());
     sim_ = std::make_unique<sim::Simulation>(config_.seed);
-    if (config_.tracer != nullptr) sim_->set_tracer(config_.tracer);
-    if (config_.recorder != nullptr) sim_->set_recorder(config_.recorder);
+    sim_->set_probe(&probe_);
     if (config_.memtracker != nullptr) sim_->set_memtracker(config_.memtracker);
     // MakePlatform dispatches on options.num_shards: `servers` is the
     // per-shard cluster size, so the sharded total is shards * servers.
@@ -219,6 +220,7 @@ class MacroRun {
   }
 
   MacroConfig config_;
+  obs::Probe probe_;  // forwards to config_.tracer / config_.recorder
   std::unique_ptr<sim::Simulation> sim_;
   std::unique_ptr<platform::Platform> platform_;
   std::unique_ptr<core::WorkloadConnector> workload_;

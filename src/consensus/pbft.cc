@@ -2,9 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/probe.h"
 #include "obs/profiler.h"
-#include "obs/recorder.h"
-#include "obs/trace.h"
 
 namespace bb::consensus {
 
@@ -79,9 +78,9 @@ void Pbft::ProgressCheck() {
     // protocol should be making progress on.
     bool has_work = host_->pending_txs() > 0 || !instances_.empty();
     if (has_work && now - last_progress_time_ >= CurrentTimeout()) {
-      if (auto* rec = host_->host_sim()->recorder()) {
-        rec->Timer(uint32_t(host_->node_id()), now, "pbft.progress_timeout",
-                   view_);
+      if (auto* p = host_->host_sim()->probe()) {
+        p->Timer(uint32_t(host_->node_id()), now, "pbft.progress_timeout",
+                 view_);
       }
       StartViewChange(std::max(view_ + 1, view_change_target_ + 1));
       last_progress_time_ = now;  // restart the clock for the next escalation
@@ -146,13 +145,9 @@ bool Pbft::ProposeOne() {
   last_proposed_hash_ = inst.digest;
   last_proposal_time_ = host_->HostNow();
 
-  if (auto* tr = host_->host_sim()->tracer()) {
-    tr->Instant(uint32_t(host_->node_id()), "consensus", "pbft.propose",
-                host_->HostNow(), "seq", double(seq));
-  }
-  if (auto* rec = host_->host_sim()->recorder()) {
-    rec->Phase(uint32_t(host_->node_id()), host_->HostNow(), "pbft.propose",
-               seq, view_);
+  if (auto* p = host_->host_sim()->probe()) {
+    p->Phase(uint32_t(host_->node_id()), host_->HostNow(), "pbft.propose",
+             seq, view_, obs::Mark::Instant("seq", double(seq)));
   }
   host_->HostBroadcast("pbft_preprepare", PrePrepareMsg{view_, seq, ptr},
                        ptr->SizeBytes());
@@ -235,16 +230,11 @@ void Pbft::MaybeSendCommit(uint64_t seq) {
   inst.sent_commit = true;
   inst.commits.insert(host_->node_id());
   inst.t_prepared = host_->HostNow();
-  if (auto* tr = host_->host_sim()->tracer()) {
-    if (inst.t_preprepare >= 0) {
-      tr->CompleteSpan(uint32_t(host_->node_id()), "consensus",
-                       "pbft.prepare", inst.t_preprepare, inst.t_prepared,
-                       "seq", double(seq));
-    }
-  }
-  if (auto* rec = host_->host_sim()->recorder()) {
-    rec->Phase(uint32_t(host_->node_id()), host_->HostNow(), "pbft.prepare",
-               seq, view_);
+  if (auto* p = host_->host_sim()->probe()) {
+    p->Phase(uint32_t(host_->node_id()), host_->HostNow(), "pbft.prepare",
+             seq, view_,
+             obs::Mark::Span(inst.t_preprepare, inst.t_prepared, "seq",
+                             double(seq)));
   }
   host_->HostBroadcast("pbft_commit", PhaseMsg{view_, seq, inst.digest},
                        kPhaseMsgBytes);
@@ -270,18 +260,11 @@ void Pbft::MaybeExecute(double* cpu) {
     double commit_cpu = 0;
     bool ok = host_->CommitBlock(inst.block, &commit_cpu);
     *cpu += commit_cpu;
-    if (auto* tr = host_->host_sim()->tracer()) {
-      if (ok && inst.t_prepared >= 0) {
-        tr->CompleteSpan(uint32_t(host_->node_id()), "consensus",
-                         "pbft.commit", inst.t_prepared, host_->HostNow(),
-                         "seq", double(next));
-      }
-    }
-    if (auto* rec = host_->host_sim()->recorder()) {
-      if (ok) {
-        rec->Phase(uint32_t(host_->node_id()), host_->HostNow(),
-                   "pbft.commit", next, view_);
-      }
+    if (auto* p = host_->host_sim()->probe(); p != nullptr && ok) {
+      p->Phase(uint32_t(host_->node_id()), host_->HostNow(), "pbft.commit",
+               next, view_,
+               obs::Mark::Span(inst.t_prepared, host_->HostNow(), "seq",
+                               double(next)));
     }
     // Retain the executed certificate until the stable checkpoint (low
     // watermark) passes it; GC the log tail whenever the watermark
@@ -349,18 +332,13 @@ void Pbft::OnNewView(sim::NodeId from, const NewViewMsg& m) {
 }
 
 void Pbft::EnterView(uint64_t view) {
-  if (view_change_start_ >= 0) {
-    if (auto* tr = host_->host_sim()->tracer()) {
-      tr->CompleteSpan(uint32_t(host_->node_id()), "consensus",
-                       "pbft.view_change", view_change_start_,
-                       host_->HostNow(), "view", double(view));
-    }
-    view_change_start_ = -1;
+  if (auto* p = host_->host_sim()->probe()) {
+    p->Phase(uint32_t(host_->node_id()), host_->HostNow(), "pbft.view_change",
+             view, 0,
+             obs::Mark::Span(view_change_start_, host_->HostNow(), "view",
+                             double(view)));
   }
-  if (auto* rec = host_->host_sim()->recorder()) {
-    rec->Phase(uint32_t(host_->node_id()), host_->HostNow(),
-               "pbft.view_change", view);
-  }
+  view_change_start_ = -1;
   view_ = view;
   in_view_change_ = false;
   view_change_target_ = std::max(view_change_target_, view);

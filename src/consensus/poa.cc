@@ -2,9 +2,8 @@
 
 #include <cmath>
 
+#include "obs/probe.h"
 #include "obs/profiler.h"
-#include "obs/recorder.h"
-#include "obs/trace.h"
 
 namespace bb::consensus {
 
@@ -35,8 +34,8 @@ void ProofOfAuthority::ScheduleNextStep() {
 
 void ProofOfAuthority::OnStep(uint64_t step) {
   if (!active_) return;
-  if (auto* rec = host_->host_sim()->recorder()) {
-    rec->Timer(uint32_t(host_->node_id()), host_->HostNow(), "poa.step", step);
+  if (auto* p = host_->host_sim()->probe()) {
+    p->Timer(uint32_t(host_->node_id()), host_->HostNow(), "poa.step", step);
   }
   double build_cpu = 0;
   auto block = host_->BuildBlock(host_->chain_store().head(),
@@ -53,17 +52,14 @@ void ProofOfAuthority::OnStep(uint64_t step) {
     double commit_cpu = 0;
     host_->CommitBlock(ptr, &commit_cpu);
     host_->ChargeBackground(build_cpu + commit_cpu);
-    if (auto* tr = host_->host_sim()->tracer()) {
+    if (auto* p = host_->host_sim()->probe()) {
       // The clock does not advance inside one event, so the seal span's
       // extent is the modeled build + commit CPU time.
       double now = host_->HostNow();
-      tr->CompleteSpan(uint32_t(host_->node_id()), "consensus", "poa.seal",
-                       now, now + build_cpu + commit_cpu, "height",
-                       double(host_->chain_store().head_height()));
-    }
-    if (auto* rec = host_->host_sim()->recorder()) {
-      rec->Phase(uint32_t(host_->node_id()), host_->HostNow(), "poa.seal",
-                 host_->chain_store().head_height(), step);
+      uint64_t height = host_->chain_store().head_height();
+      p->Phase(uint32_t(host_->node_id()), now, "poa.seal", height, step,
+               obs::Mark::Span(now, now + build_cpu + commit_cpu, "height",
+                               double(height)));
     }
     host_->HostBroadcast("poa_block", ptr, ptr->SizeBytes());
   }
@@ -89,10 +85,10 @@ bool ProofOfAuthority::HandleMessage(const sim::Message& msg, double* cpu) {
   }
   *cpu += commit_cpu;
   if (host_->chain_store().reorgs() > old_reorgs) {
-    if (auto* tr = host_->host_sim()->tracer()) {
-      tr->Instant(uint32_t(host_->node_id()), "consensus", "poa.fork_switch",
-                  host_->HostNow(), "height",
-                  double(host_->chain_store().head_height()));
+    if (auto* p = host_->host_sim()->probe()) {
+      p->EngineForkSwitch(uint32_t(host_->node_id()), host_->HostNow(),
+                          "poa.fork_switch",
+                          host_->chain_store().head_height());
     }
   }
   return true;

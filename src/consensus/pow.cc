@@ -2,9 +2,8 @@
 
 #include <cmath>
 
+#include "obs/probe.h"
 #include "obs/profiler.h"
-#include "obs/recorder.h"
-#include "obs/trace.h"
 
 namespace bb::consensus {
 
@@ -57,14 +56,11 @@ void ProofOfWork::OnMined(uint64_t epoch) {
     // difficulty is fixed by the genesis configuration.
     block->header.weight = 1000;
     ++blocks_mined_;
-    if (auto* tr = host_->host_sim()->tracer()) {
-      tr->CompleteSpan(uint32_t(host_->node_id()), "consensus", "pow.mine",
-                       mine_start_, host_->HostNow(), "height",
-                       double(block->header.height));
-    }
-    if (auto* rec = host_->host_sim()->recorder()) {
-      rec->Phase(uint32_t(host_->node_id()), host_->HostNow(), "pow.mine",
-                 block->header.height);
+    if (auto* p = host_->host_sim()->probe()) {
+      p->Phase(uint32_t(host_->node_id()), host_->HostNow(), "pow.mine",
+               block->header.height, 0,
+               obs::Mark::Span(mine_start_, host_->HostNow(), "height",
+                               double(block->header.height)));
     }
     // Wrap once; the store and every peer share the same instance.
     auto ptr = std::make_shared<const chain::Block>(std::move(*block));
@@ -100,21 +96,15 @@ bool ProofOfWork::HandleMessage(const sim::Message& msg, double* cpu) {
   }
   *cpu += commit_cpu;
   if (host_->chain_store().head() != old_head) {
-    if (auto* tr = host_->host_sim()->tracer()) {
+    if (auto* p = host_->host_sim()->probe()) {
       if (host_->chain_store().reorgs() > old_reorgs) {
-        tr->Instant(uint32_t(host_->node_id()), "consensus",
-                    "pow.fork_switch", host_->HostNow(), "height",
-                    double(host_->chain_store().head_height()));
+        p->EngineForkSwitch(uint32_t(host_->node_id()), host_->HostNow(),
+                            "pow.fork_switch",
+                            host_->chain_store().head_height());
       }
       if (mining_) {
-        tr->Instant(uint32_t(host_->node_id()), "consensus",
-                    "pow.mine_abandoned", host_->HostNow());
-      }
-    }
-    if (auto* rec = host_->host_sim()->recorder()) {
-      if (mining_) {
-        rec->Phase(uint32_t(host_->node_id()), host_->HostNow(),
-                   "pow.mine_abandoned");
+        p->Phase(uint32_t(host_->node_id()), host_->HostNow(),
+                 "pow.mine_abandoned", 0, 0, obs::Mark::Instant());
       }
     }
     // Head moved: abandon the in-flight race and mine on the new tip.

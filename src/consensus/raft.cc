@@ -2,9 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/probe.h"
 #include "obs/profiler.h"
-#include "obs/recorder.h"
-#include "obs/trace.h"
 
 namespace bb::consensus {
 
@@ -56,9 +55,9 @@ void Raft::Poll() {
 void Raft::ElectionCheck() {
   if (!active_) return;
   if (role_ != Role::kLeader && host_->HostNow() >= election_deadline_) {
-    if (auto* rec = host_->host_sim()->recorder()) {
-      rec->Timer(uint32_t(host_->node_id()), host_->HostNow(),
-                 "raft.election_timeout", term_ + 1);
+    if (auto* p = host_->host_sim()->probe()) {
+      p->Timer(uint32_t(host_->node_id()), host_->HostNow(),
+               "raft.election_timeout", term_ + 1);
     }
     StartElection();
   }
@@ -82,18 +81,13 @@ void Raft::StartElection() {
 }
 
 void Raft::BecomeLeader() {
-  if (election_start_ >= 0) {
-    if (auto* tr = host_->host_sim()->tracer()) {
-      tr->CompleteSpan(uint32_t(host_->node_id()), "consensus",
-                       "raft.election", election_start_, host_->HostNow(),
-                       "term", double(term_));
-    }
-    election_start_ = -1;
+  if (auto* p = host_->host_sim()->probe()) {
+    p->Phase(uint32_t(host_->node_id()), host_->HostNow(), "raft.election",
+             term_, 0,
+             obs::Mark::Span(election_start_, host_->HostNow(), "term",
+                             double(term_)));
   }
-  if (auto* rec = host_->host_sim()->recorder()) {
-    rec->Phase(uint32_t(host_->node_id()), host_->HostNow(),
-               "raft.election", term_);
-  }
+  election_start_ = -1;
   role_ = Role::kLeader;
   match_height_.clear();
   // Re-replicate our surviving pending tail; peers report their actual
@@ -158,7 +152,7 @@ void Raft::MaybePropose() {
   block->header.weight = 1;
   auto ptr = std::make_shared<const chain::Block>(std::move(*block));
   pending_log_[tail + 1] = ptr;
-  if (host_->host_sim()->tracer() != nullptr) {
+  if (auto* p = host_->host_sim()->probe(); p != nullptr && p->tracing()) {
     propose_time_[tail + 1] = host_->HostNow();
   }
   last_proposal_time_ = host_->HostNow();
@@ -354,18 +348,16 @@ void Raft::AdvanceCommit(double* cpu) {
     double commit_cpu = 0;
     host_->CommitBlock(it->second, &commit_cpu);
     *cpu += commit_cpu;
-    if (auto* tr = host_->host_sim()->tracer()) {
-      auto pt = propose_time_.find(h);
-      if (pt != propose_time_.end()) {
-        tr->CompleteSpan(uint32_t(host_->node_id()), "consensus",
-                         "raft.replicate", pt->second, host_->HostNow(),
-                         "height", double(h));
+    if (auto* p = host_->host_sim()->probe()) {
+      double proposed = -1;  // no span for a block proposed untraced
+      if (auto pt = propose_time_.find(h); pt != propose_time_.end()) {
+        proposed = pt->second;
         propose_time_.erase(pt);
       }
-    }
-    if (auto* rec = host_->host_sim()->recorder()) {
-      rec->Phase(uint32_t(host_->node_id()), host_->HostNow(),
-                 "raft.replicate", h, term_);
+      p->Phase(uint32_t(host_->node_id()), host_->HostNow(), "raft.replicate",
+               h, term_,
+               obs::Mark::Span(proposed, host_->HostNow(), "height",
+                               double(h)));
     }
     pending_log_.erase(it);
     ++committed_height_;

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/probe.h"
 #include "obs/profiler.h"
-#include "obs/recorder.h"
-#include "obs/trace.h"
 
 namespace bb::consensus {
 
@@ -99,13 +98,9 @@ void Tendermint::MaybePropose() {
   rs.sent_prevote = true;
   rs.prevotes.insert(host_->node_id());
   rs.t_proposal = host_->HostNow();
-  if (auto* tr = host_->host_sim()->tracer()) {
-    tr->Instant(uint32_t(host_->node_id()), "consensus", "tm.propose",
-                host_->HostNow(), "height", double(h));
-  }
-  if (auto* rec = host_->host_sim()->recorder()) {
-    rec->Phase(uint32_t(host_->node_id()), host_->HostNow(), "tm.propose", h,
-               round_);
+  if (auto* p = host_->host_sim()->probe()) {
+    p->Phase(uint32_t(host_->node_id()), host_->HostNow(), "tm.propose", h,
+             round_, obs::Mark::Instant("height", double(h)));
   }
   host_->HostBroadcast("tm_proposal", ProposalMsg{h, round_, ptr},
                        ptr->SizeBytes());
@@ -134,9 +129,9 @@ void Tendermint::OnRoundTimeout(uint64_t height, uint64_t round) {
   if (round_age < RoundTimeoutFor(config_, round)) return;
   // No progress this round and there is work to do.
   if (host_->pending_txs() > 0 || !rounds_.empty()) {
-    if (auto* rec = host_->host_sim()->recorder()) {
-      rec->Timer(uint32_t(host_->node_id()), host_->HostNow(),
-                 "tm.round_timeout", round);
+    if (auto* p = host_->host_sim()->probe()) {
+      p->Timer(uint32_t(host_->node_id()), host_->HostNow(),
+               "tm.round_timeout", round);
     }
     AdvanceRound();
   } else {
@@ -148,13 +143,10 @@ void Tendermint::AdvanceRound() {
   ++rounds_failed_;
   ++round_;
   round_start_time_ = host_->HostNow();
-  if (auto* tr = host_->host_sim()->tracer()) {
-    tr->Instant(uint32_t(host_->node_id()), "consensus", "tm.round_failed",
-                host_->HostNow(), "round", double(round_ - 1));
-  }
-  if (auto* rec = host_->host_sim()->recorder()) {
-    rec->Phase(uint32_t(host_->node_id()), host_->HostNow(),
-               "tm.round_failed", Height() + 1, round_ - 1);
+  if (auto* p = host_->host_sim()->probe()) {
+    p->Phase(uint32_t(host_->node_id()), host_->HostNow(), "tm.round_failed",
+             Height() + 1, round_ - 1,
+             obs::Mark::Instant("round", double(round_ - 1)));
   }
   // The failed round's proposal (ours or the proposer's) is abandoned;
   // requeue what we proposed ourselves.
@@ -222,16 +214,11 @@ void Tendermint::OnPrevote(sim::NodeId from, const VoteMsg& m) {
     rs.sent_precommit = true;
     rs.precommits.insert(host_->node_id());
     rs.t_prevote_q = host_->HostNow();
-    if (auto* tr = host_->host_sim()->tracer()) {
-      if (rs.t_proposal >= 0) {
-        tr->CompleteSpan(uint32_t(host_->node_id()), "consensus",
-                         "tm.prevote", rs.t_proposal, rs.t_prevote_q,
-                         "height", double(m.height));
-      }
-    }
-    if (auto* rec = host_->host_sim()->recorder()) {
-      rec->Phase(uint32_t(host_->node_id()), host_->HostNow(), "tm.prevote",
-                 m.height, m.round);
+    if (auto* p = host_->host_sim()->probe()) {
+      p->Phase(uint32_t(host_->node_id()), host_->HostNow(), "tm.prevote",
+               m.height, m.round,
+               obs::Mark::Span(rs.t_proposal, rs.t_prevote_q, "height",
+                               double(m.height)));
     }
     host_->HostBroadcast("tm_precommit",
                          VoteMsg{m.height, m.round, rs.proposal_hash},
@@ -252,16 +239,11 @@ void Tendermint::OnPrecommit(sim::NodeId from, const VoteMsg& m,
   double commit_cpu = 0;
   host_->CommitBlock(rs.proposal, &commit_cpu);
   *cpu += commit_cpu;
-  if (auto* tr = host_->host_sim()->tracer()) {
-    if (rs.t_prevote_q >= 0) {
-      tr->CompleteSpan(uint32_t(host_->node_id()), "consensus",
-                       "tm.precommit", rs.t_prevote_q, host_->HostNow(),
-                       "height", double(m.height));
-    }
-  }
-  if (auto* rec = host_->host_sim()->recorder()) {
-    rec->Phase(uint32_t(host_->node_id()), host_->HostNow(), "tm.precommit",
-               m.height, m.round);
+  if (auto* p = host_->host_sim()->probe()) {
+    p->Phase(uint32_t(host_->node_id()), host_->HostNow(), "tm.precommit",
+             m.height, m.round,
+             obs::Mark::Span(rs.t_prevote_q, host_->HostNow(), "height",
+                             double(m.height)));
   }
   round_ = 0;
   last_commit_time_ = host_->HostNow();

@@ -1,7 +1,7 @@
 #include "core/client.h"
 
+#include "obs/probe.h"
 #include "obs/profiler.h"
-#include "obs/trace.h"
 
 namespace bb::core {
 
@@ -64,10 +64,10 @@ void DriverClient::TrySubmit(chain::Transaction tx) {
   auto [it, inserted] = outstanding_.emplace(tx.id, std::move(tx));
   (void)inserted;
   stats_->RecordSubmit(Now());
-  if (auto* tr = sim()->tracer()) {
+  if (auto* p = sim()->probe()) {
     // A resubmission after rejection restarts the lifecycle record, so
     // traced spans telescope to the latency measured from this submit.
-    tr->TxMilestone(it->second.id, obs::Tracer::kSubmit, Now());
+    p->TxMilestone(it->second.id, obs::Tracer::kSubmit, Now());
   }
 
   // Key-partition routing (sharded platforms only): a transaction whose
@@ -149,9 +149,9 @@ void DriverClient::OnBlocks(const platform::RpcBlocks& m) {
         stats_->RecordXsCommit(Now() - it->second.submit_time);
         cross_ids_.erase(xs);
       }
-      if (auto* tr = sim()->tracer()) {
-        tr->TxMilestone(tx.id, obs::Tracer::kConfirm, Now());
-        if (const auto* ms = tr->FindTx(tx.id)) {
+      if (auto* p = sim()->probe()) {
+        if (const auto* ms =
+                p->TxMilestone(tx.id, obs::Tracer::kConfirm, Now())) {
           double legs[StatsCollector::kNumPhases];
           bool complete = true;
           for (size_t leg = 0; leg < StatsCollector::kNumPhases; ++leg) {

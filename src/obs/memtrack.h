@@ -11,11 +11,13 @@
 // across sweep --jobs values and can live in golden baselines; RSS is
 // not and cannot.
 //
-// One MemTracker serves one sim::Simulation, attached through the
-// non-owning Simulation::set_memtracker pointer exactly like set_tracer:
-// disabled mode costs one pointer test per hook site, and the hot path
-// is inline so bb_sim / bb_storage (below bb_obs in the link graph)
-// account without a link-time dependency. CI gates the ratio
+// One MemTracker serves one sim::Simulation, attached through its own
+// non-owning Simulation::set_memtracker pointer (bytes are not facts of
+// the run, so it does not ride the obs::Probe that carries the tracer
+// and the flight recorder): disabled mode costs one pointer test per
+// hook site, and the hot path is inline so bb_sim / bb_storage (below
+// bb_obs in the link graph) account without a link-time dependency.
+// CI gates the ratio
 // BM_SimulationEventLoopMemOff / BM_SimulationEventLoop <= 1.03.
 //
 // Two hook styles feed the same counters:

@@ -21,10 +21,11 @@
 //    blockbench-profile-v1 JSON, folded stacks (flamegraph.pl /
 //    speedscope), and Perfetto counter tracks.
 //
-// Disabled-mode contract (same pattern as Simulation::set_tracer): the
-// hot path reads one `constinit thread_local` pointer; when no profiler
-// is attached to the thread that is a single predictable branch per
-// scope. CI gates the ratio BM_SimulationEventLoopProfOff /
+// Disabled-mode contract: the profiler attaches per thread, not per
+// Simulation (Profiler::ThreadScope), and the hot path reads one
+// `constinit thread_local` pointer; when no profiler is attached to the
+// thread that is a single predictable branch per scope. CI gates the
+// ratio BM_SimulationEventLoopProfOff /
 // BM_SimulationEventLoop < 1.03.
 //
 // Everything the instrumented hot paths touch lives in this header so

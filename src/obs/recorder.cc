@@ -63,6 +63,25 @@ util::Json RunSpec::ToJson() const {
   return run;
 }
 
+Status RunSpec::Validate() const {
+  auto bad = [](const char* flag, const char* rule, double got) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", got);
+    return Status::InvalidArgument(std::string(flag) + " must be " + rule +
+                                   " (got " + buf + ")");
+  };
+  if (servers < 1) return bad("--servers", ">= 1", double(servers));
+  if (clients < 1) return bad("--clients", ">= 1", double(clients));
+  if (!(rate > 0) && !(rate == 0 && max_outstanding > 0)) {
+    return bad("--rate", "> 0, or 0 with --max-outstanding > 0", rate);
+  }
+  if (!(duration > 0)) return bad("--duration", "> 0", duration);
+  if (!(warmup >= 0 && warmup < duration)) {
+    return bad("--warmup", "in [0, --duration)", warmup);
+  }
+  return Status::Ok();
+}
+
 Result<RunSpec> RunSpec::FromJson(const util::Json& run) {
   if (!run.is_object()) {
     return Status::InvalidArgument("run spec is not an object");

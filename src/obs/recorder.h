@@ -4,11 +4,11 @@
 // consensus phase/view transitions, block seal/commit/fork-switch,
 // timer fires, and fault-schedule edges (crash/recover/partition/heal).
 //
-// One FlightRecorder serves one sim::Simulation, attached through the
-// non-owning Simulation::set_recorder pointer exactly like set_tracer:
-// disabled mode costs one pointer test per hook site, and the recording
-// methods are inline so bb_sim (below bb_obs in the link graph) can
-// record without a link-time dependency.
+// One FlightRecorder serves one sim::Simulation, attached as a sink of
+// the non-owning obs::Probe (obs/probe.h) beside the Tracer: disabled
+// mode costs one pointer test per hook site, and the recording methods
+// are inline so bb_sim (below bb_obs in the link graph) can record
+// without a link-time dependency.
 //
 // Unlike the Tracer, the recorder is bounded: each node keeps only the
 // last `ring_capacity` records (evicted counts are reported), so it can
@@ -68,6 +68,11 @@ struct RunSpec {
 
   util::Json ToJson() const;
   static Result<RunSpec> FromJson(const util::Json& run);
+  /// Rejects a spec that cannot produce a meaningful run, naming the
+  /// bbench flag at fault: servers >= 1, clients >= 1, rate > 0 (or 0
+  /// with a max_outstanding window, i.e. closed loop), duration > 0 and
+  /// 0 <= warmup < duration (the measured window must not be empty).
+  Status Validate() const;
 };
 
 /// Why a dump was written: "audit_violation" carries the first violated
@@ -125,50 +130,11 @@ class FlightRecorder {
 
   // --- Recording (hot path when enabled; inline for bb_sim) --------------
 
-  void MsgSend(uint32_t node, double t, uint64_t seq, uint32_t to,
-               const std::string& type, uint64_t bytes) {
-    Push(node, Record{t, seq, bytes, to, Intern(type), Kind::kSend});
-  }
-  void MsgRecv(uint32_t node, double t, uint64_t seq, uint32_t from,
-               const std::string& type, uint64_t bytes) {
-    Push(node, Record{t, seq, bytes, from, Intern(type), Kind::kRecv});
-  }
-  /// in_flight=false: dropped at send time (crashed end, partition, loss,
-  /// full inbox); true: dropped at delivery time (state changed mid-hop).
-  void MsgDrop(uint32_t node, double t, uint64_t seq, uint32_t peer,
-               const std::string& type, bool in_flight) {
-    Push(node,
-         Record{t, seq, in_flight ? 1u : 0u, peer, Intern(type), Kind::kDrop});
-  }
-  /// A consensus phase/view transition ("pbft.view_change", ...).
-  void Phase(uint32_t node, double t, const char* name, uint64_t id = 0,
-             uint64_t aux = 0) {
-    Push(node, Record{t, id, aux, kNoPeer, Intern(name), Kind::kPhase});
-  }
-  /// A timer that fired AND changed behaviour (view change started,
-  /// round advanced, election called, 2PC decision timed out).
-  void Timer(uint32_t node, double t, const char* name, uint64_t id = 0) {
-    Push(node, Record{t, id, 0, kNoPeer, Intern(name), Kind::kTimer});
-  }
-  void Seal(uint32_t node, double t, uint64_t height, uint64_t hash_prefix) {
-    Push(node,
-         Record{t, height, hash_prefix, kNoPeer, Intern("block.seal"),
-                Kind::kSeal});
-  }
-  void Commit(uint32_t node, double t, uint64_t height, uint64_t hash_prefix) {
-    Push(node,
-         Record{t, height, hash_prefix, kNoPeer, Intern("block.commit"),
-                Kind::kCommit});
-  }
-  void ForkSwitch(uint32_t node, double t, uint64_t height,
-                  uint64_t rewind_depth) {
-    Push(node,
-         Record{t, height, rewind_depth, kNoPeer, Intern("chain.fork_switch"),
-                Kind::kForkSwitch});
-  }
-  /// Fault-schedule edge; `kind` must be kCrash/kRecover/kPartition/kHeal.
-  void Fault(Kind kind, uint32_t node, double t, uint64_t aux = 0) {
-    Push(node, Record{t, 0, aux, kNoPeer, Intern(KindName(kind)), kind});
+  /// Appends one record to `node`'s ring; id/aux/peer carry what the
+  /// Kind comments above say. obs::Probe is the typed front end.
+  void Log(uint32_t node, Kind kind, double t, const std::string& name,
+           uint64_t id = 0, uint64_t aux = 0, uint32_t peer = kNoPeer) {
+    Push(node, Record{t, id, aux, peer, Intern(name), kind});
   }
 
   // --- Replay breakpoint --------------------------------------------------
@@ -224,7 +190,6 @@ class FlightRecorder {
     if (inserted) names_.push_back(name);
     return it->second;
   }
-  uint32_t Intern(const char* name) { return Intern(std::string(name)); }
 
   void Push(uint32_t node, Record r) {
     if (node >= rings_.size()) rings_.resize(node + 1);

@@ -1,6 +1,6 @@
 #include "obs/sampler.h"
 
-#include "obs/trace.h"
+#include "obs/probe.h"
 #include "sim/simulation.h"
 
 namespace bb::obs {
@@ -26,11 +26,11 @@ void Sampler::Schedule(sim::Simulation* sim, double end) {
 
 void Sampler::Tick(sim::Simulation* sim, double t) {
   ticks_.push_back(t);
-  Tracer* tracer = sim->tracer();
+  Probe* probe = sim->probe();
   for (GaugeSeries& g : gauges_) {
     double v = g.fn();
     g.values.push_back(v);
-    if (tracer != nullptr) tracer->Counter(g.node, "sampler", g.name, t, v);
+    if (probe != nullptr) probe->Sample(g.node, g.name, t, v);
   }
   for (TagSeries& s : tags_) s.values.push_back(s.fn());
 }

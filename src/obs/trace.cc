@@ -39,27 +39,16 @@ const char* Tracer::TxSpanName(size_t leg) {
   return leg < kNumTxSpans ? kTxSpanNames[leg] : "tx.unknown";
 }
 
-void Tracer::TxSubmit(uint64_t tx_id, double t) {
-  TxMilestones& ms = tx_[tx_id];
-  ms.fill(-1);
-  ms[kSubmit] = t;
-}
-
-void Tracer::TxMilestone(uint64_t tx_id, TxPhase phase, double t) {
-  if (phase == kSubmit) {
-    TxSubmit(tx_id, t);
-    return;
-  }
-  auto it = tx_.find(tx_id);
-  if (it == tx_.end()) {
-    // Tx never submitted through a traced client (e.g. injected
-    // directly in a test); start a partial record.
-    it = tx_.emplace(tx_id, TxMilestones{}).first;
-    it->second.fill(-1);
-  }
+const Tracer::TxMilestones& Tracer::TxMilestone(uint64_t tx_id, TxPhase phase,
+                                                double t) {
+  auto [it, inserted] = tx_.try_emplace(tx_id);
   TxMilestones& ms = it->second;
-  if (ms[phase] >= 0) return;  // first milestone wins (gossip, replicas)
+  // A tx seen first past kSubmit was never submitted through a traced
+  // client (e.g. injected directly in a test): start a partial record.
+  if (inserted || phase == kSubmit) ms.fill(-1);
+  if (ms[phase] >= 0) return ms;  // first milestone wins (gossip, replicas)
   ms[phase] = t;
+  if (phase == kSubmit) return ms;
   size_t leg = size_t(phase) - 1;
   if (ms[leg] >= 0) {
     // Emit the async span for the completed leg; pid/tid of async
@@ -67,6 +56,7 @@ void Tracer::TxMilestone(uint64_t tx_id, TxPhase phase, double t) {
     PushEvent(0, "tx", TxSpanName(leg), 'b', ms[leg], 0, tx_id, nullptr, 0);
     PushEvent(0, "tx", TxSpanName(leg), 'e', t, 0, tx_id, nullptr, 0);
   }
+  return ms;
 }
 
 const Tracer::TxMilestones* Tracer::FindTx(uint64_t tx_id) const {

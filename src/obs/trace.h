@@ -1,7 +1,8 @@
 // Tracer: a span/event recorder keyed on virtual simulation time.
 //
-// One Tracer serves one sim::Simulation. Components reach it through
-// Simulation::tracer(), which returns nullptr when tracing is off — the
+// One Tracer serves one sim::Simulation, attached as a sink of the
+// obs::Probe (obs/probe.h) that hook sites reach through
+// Simulation::probe(), which is null when no sink is attached — the
 // entire instrumentation cost in disabled mode is one pointer test per
 // hook site. All timestamps are virtual seconds, and events are stored
 // in dispatch order, so a trace is byte-identical across runs and
@@ -54,22 +55,16 @@ class Tracer {
 
   // --- Recording (hot path when enabled) ---------------------------------
 
-  /// A closed span [start, end] on node `node`'s track.
+  /// A closed span [start, end] on node `node`'s track, with an
+  /// optional single numeric arg (none when `arg_key` is null).
   void CompleteSpan(uint32_t node, const char* cat, const char* name,
-                    double start, double end) {
-    PushEvent(node, cat, name, 'X', start, end - start, 0, nullptr, 0);
-  }
-  void CompleteSpan(uint32_t node, const char* cat, const char* name,
-                    double start, double end, const char* arg_key,
-                    double arg_value) {
+                    double start, double end, const char* arg_key = nullptr,
+                    double arg_value = 0) {
     PushEvent(node, cat, name, 'X', start, end - start, 0, arg_key, arg_value);
   }
-  /// A point event on node `node`'s track.
-  void Instant(uint32_t node, const char* cat, const char* name, double t) {
-    PushEvent(node, cat, name, 'i', t, 0, 0, nullptr, 0);
-  }
+  /// A point event on node `node`'s track, with an optional arg.
   void Instant(uint32_t node, const char* cat, const char* name, double t,
-               const char* arg_key, double arg_value) {
+               const char* arg_key = nullptr, double arg_value = 0) {
     PushEvent(node, cat, name, 'i', t, 0, 0, arg_key, arg_value);
   }
   /// A counter sample: one point of the per-node counter track
@@ -97,12 +92,11 @@ class Tracer {
     PushEvent(node, cat, name, 'f', t, 0, id, nullptr, 0);
   }
 
-  /// Starts (or restarts, on client retry after a rejection) the
-  /// lifecycle record for `tx_id`: later milestones are cleared.
-  void TxSubmit(uint64_t tx_id, double t);
   /// Records milestone `phase` at time t, first writer wins; emits the
   /// async span from the previous milestone once both ends are known.
-  void TxMilestone(uint64_t tx_id, TxPhase phase, double t);
+  /// kSubmit starts (or restarts, on client retry after a rejection) the
+  /// record, clearing later milestones. Returns the tx's record.
+  const TxMilestones& TxMilestone(uint64_t tx_id, TxPhase phase, double t);
   /// Milestone record for a tx, nullptr if never seen.
   const TxMilestones* FindTx(uint64_t tx_id) const;
 

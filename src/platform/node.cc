@@ -6,9 +6,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "obs/probe.h"
 #include "obs/profiler.h"
-#include "obs/recorder.h"
-#include "obs/trace.h"
 
 namespace bb::platform {
 
@@ -130,10 +129,7 @@ void PlatformNode::SyncMemGauges() {
   mem_consensus_.Set(stack_->consensus().engine().BookkeepingBytes());
   mem_chain_.Set(chain().stored_bytes());
   mem_vm_.Set(stack_->execution().footprint_bytes());
-  if (const auto* rec = sim()->recorder()) {
-    mem_obs_.Set(uint64_t(rec->ring_size(uint32_t(id()))) *
-                 sizeof(obs::FlightRecorder::Record));
-  }
+  if (const auto* p = sim()->probe()) mem_obs_.Set(p->RingBytes(id()));
 }
 
 double PlatformNode::HandleClientTx(const sim::Message& msg) {
@@ -160,8 +156,8 @@ double PlatformNode::HandleClientTx(const sim::Message& msg) {
   }
   pool_.Add(m.tx);
   if (pool_.pending() > pool_peak_) pool_peak_ = pool_.pending();
-  if (auto* tr = sim()->tracer()) {
-    tr->TxMilestone(m.tx.id, obs::Tracer::kAdmit, Now());
+  if (auto* p = sim()->probe()) {
+    p->TxMilestone(m.tx.id, obs::Tracer::kAdmit, Now());
   }
   if (options_.gossip_txs) {
     // One shared payload for all peers: each Send copies a GossipTx (a
@@ -187,8 +183,8 @@ double PlatformNode::HandleGossipTx(const sim::Message& msg) {
   }
   if (pool_.Add(tx)) {
     if (pool_.pending() > pool_peak_) pool_peak_ = pool_.pending();
-    if (auto* tr = sim()->tracer()) {
-      tr->TxMilestone(tx.id, obs::Tracer::kAdmit, Now());
+    if (auto* p = sim()->probe()) {
+      p->TxMilestone(tx.id, obs::Tracer::kAdmit, Now());
     }
     engine().OnNewTransactions();
   }
@@ -350,11 +346,11 @@ std::optional<chain::Block> PlatformNode::BuildBlock(const Hash256& parent,
 
   if (batch.empty() && !allow_empty) return std::nullopt;
 
-  if (auto* tr = sim()->tracer()) {
+  if (auto* p = sim()->probe()) {
     // Stamp after the gas-packing trim so requeued txs don't count as
     // proposed; speculative execution above never stamps milestones.
     for (const auto& tx : batch) {
-      tr->TxMilestone(tx.id, obs::Tracer::kPropose, Now());
+      p->TxMilestone(tx.id, obs::Tracer::kPropose, Now());
     }
   }
 
@@ -367,13 +363,13 @@ std::optional<chain::Block> PlatformNode::BuildBlock(const Hash256& parent,
   b.txs = std::move(batch);
   b.SealTxRoot();
   ++blocks_produced_;
-  if (auto* rec = sim()->recorder()) {
+  if (auto* p = sim()->probe()) {
     // 48-bit prefix: record aux values must survive the JSON double
     // round-trip losslessly. The header hash is not final here (the
     // engine still fills proposer/nonce), so the tx root identifies the
     // sealed content.
-    rec->Seal(uint32_t(id()), Now(), b.header.height,
-              b.header.tx_root.Prefix64() >> 16);
+    p->Seal(uint32_t(id()), Now(), b.header.height,
+            b.header.tx_root.Prefix64() >> 16);
   }
   return b;
 }
@@ -437,10 +433,9 @@ void PlatformNode::ExecuteCanonical(double* cpu) {
     --exec_height_;
     ++rewound;
   }
-  if (rewound > 0) {
-    if (auto* rec = sim()->recorder()) {
-      rec->ForkSwitch(uint32_t(id()), Now(), chain.head_height(), rewound);
-    }
+  obs::Probe* probe = sim()->probe();
+  if (probe != nullptr && rewound > 0) {
+    probe->ForkSwitch(uint32_t(id()), Now(), chain.head_height(), rewound);
   }
   if (exec_height_ == 0) exec_block_hash_ = chain.CanonicalAt(0)->HashOf();
 
@@ -454,7 +449,6 @@ void PlatformNode::ExecuteCanonical(double* cpu) {
   }
 
   // Execute forward along the canonical chain.
-  obs::Tracer* tr = sim()->tracer();
   bool evm = stack_->execution().kind() == ExecEngineKind::kEvm;
   uint64_t head = chain.head_height();
   for (uint64_t h = exec_height_ + 1; h <= head; ++h) {
@@ -467,7 +461,9 @@ void PlatformNode::ExecuteCanonical(double* cpu) {
       *cpu += ExecuteTx(tx, &gas);
       block_gas += gas;
       committed_ids_.insert(tx.id);
-      if (tr != nullptr) tr->TxMilestone(tx.id, obs::Tracer::kCommit, Now());
+      if (probe != nullptr) {
+        probe->TxMilestone(tx.id, obs::Tracer::kCommit, Now());
+      }
       if (xs_notify_.has_value() && tx.contract == kXsContract) {
         Send(*xs_notify_, "xs_sealed", XsSealed{tx.id}, 60);
       }
@@ -476,8 +472,8 @@ void PlatformNode::ExecuteCanonical(double* cpu) {
     // a flood of zeros would drown the distribution.
     if (evm && !b->txs.empty()) gas_per_block_.Add(double(block_gas));
     const Hash256 block_hash = b->HashOf();
-    if (auto* rec = sim()->recorder()) {
-      rec->Commit(uint32_t(id()), Now(), h, block_hash.Prefix64() >> 16);
+    if (probe != nullptr) {
+      probe->Commit(uint32_t(id()), Now(), h, block_hash.Prefix64() >> 16);
     }
     auto root = state().Commit();
     if (root.ok()) {

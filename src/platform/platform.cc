@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "obs/recorder.h"
+#include "obs/probe.h"
 #include "vm/assembler.h"
 
 namespace bb::platform {
@@ -108,7 +108,7 @@ uint64_t Platform::TotalTxsExecuted() const {
 
 void Platform::ExportMetrics(obs::MetricsRegistry* reg) const {
   for (const auto& n : nodes_) n->ExportMetrics(reg);
-  if (const auto* rec = sim_->recorder()) rec->ExportMetrics(reg);
+  if (const auto* p = sim_->probe()) p->ExportMetrics(reg);
 }
 
 }  // namespace bb::platform

@@ -2,8 +2,8 @@
 
 #include <string>
 
+#include "obs/probe.h"
 #include "obs/profiler.h"
-#include "obs/recorder.h"
 
 namespace bb::platform {
 
@@ -93,8 +93,8 @@ double ShardCoordinator::HandleClientTx(const sim::Message& msg) {
   e.shards = m.shards;
   e.client = msg.from;
   ++started_;
-  if (auto* rec = sim()->recorder()) {
-    rec->Phase(uint32_t(id()), Now(), "xs.prepare", base_id, e.shards.size());
+  if (auto* p = sim()->probe()) {
+    p->Phase(uint32_t(id()), Now(), "xs.prepare", base_id, e.shards.size());
   }
   chain::Transaction prepare = MakeRecord(e, "prepare", kXsPrepareBit);
   for (uint32_t shard : e.shards) SubmitToShard(shard, prepare);
@@ -147,8 +147,8 @@ double ShardCoordinator::HandleReject(const sim::Message& msg) {
 void ShardCoordinator::OnPrepareTimeout(uint64_t base_id) {
   auto it = entries_.find(base_id);
   if (it == entries_.end() || it->second.decided) return;
-  if (auto* rec = sim()->recorder()) {
-    rec->Timer(uint32_t(id()), Now(), "xs.prepare_timeout", base_id);
+  if (auto* p = sim()->probe()) {
+    p->Timer(uint32_t(id()), Now(), "xs.prepare_timeout", base_id);
   }
   Decide(base_id, /*commit=*/false);
   // Timeouts fire as scheduled events, outside the HandleMessage epilogue.
@@ -158,9 +158,9 @@ void ShardCoordinator::OnPrepareTimeout(uint64_t base_id) {
 void ShardCoordinator::Decide(uint64_t base_id, bool commit) {
   Entry& e = entries_.at(base_id);
   e.decided = true;
-  if (auto* rec = sim()->recorder()) {
-    rec->Phase(uint32_t(id()), Now(), commit ? "xs.commit" : "xs.abort",
-               base_id, e.shards.size());
+  if (auto* p = sim()->probe()) {
+    p->Phase(uint32_t(id()), Now(), commit ? "xs.commit" : "xs.abort",
+             base_id, e.shards.size());
   }
   if (commit) {
     ++committed_;

@@ -3,9 +3,8 @@
 #include <cassert>
 
 #include "obs/memtrack.h"
+#include "obs/probe.h"
 #include "obs/profiler.h"
-#include "obs/recorder.h"
-#include "obs/trace.h"
 #include "sim/node.h"
 
 namespace bb::sim {
@@ -45,32 +44,23 @@ bool Network::Send(Message msg) {
   BB_PROF_COPY(msg.size_bytes);
   nodes_[msg.from]->meter().AddNetBytes(sim_->Now(), msg.size_bytes);
   nodes_[msg.from]->meter().AddMessageSent(msg.type);
-  if (auto* rec = sim_->recorder()) {
-    rec->MsgSend(uint32_t(msg.from), sim_->Now(), msg.seq, uint32_t(msg.to),
-                 msg.type, msg.size_bytes);
+
+  bool dropped =
+      crashed_[msg.from] || crashed_[msg.to] || !SameSide(msg.from, msg.to) ||
+      (config_.drop_probability > 0 &&
+       rng_.Bernoulli(config_.drop_probability)) ||
+      // Receiver's message channel is full: reject, as Fabric v0.6 does.
+      (config_.inbox_capacity > 0 &&
+       nodes_[msg.to]->inbox_depth() >= config_.inbox_capacity);
+  if (auto* p = sim_->probe()) {
     // Replay breakpoint: --until=TIME,SEQ stops right after send SEQ.
-    if (rec->break_seq() != 0 && msg.seq >= rec->break_seq()) {
+    if (p->MsgSend(uint32_t(msg.from), sim_->Now(), msg.seq, uint32_t(msg.to),
+                   msg.type, msg.size_bytes, dropped)) {
       sim_->RequestStop();
     }
   }
-
-  if (crashed_[msg.from] || crashed_[msg.to] || !SameSide(msg.from, msg.to) ||
-      (config_.drop_probability > 0 && rng_.Bernoulli(config_.drop_probability))) {
+  if (dropped) {
     ++messages_dropped_;
-    if (auto* rec = sim_->recorder()) {
-      rec->MsgDrop(uint32_t(msg.from), sim_->Now(), msg.seq, uint32_t(msg.to),
-                   msg.type, /*in_flight=*/false);
-    }
-    return false;
-  }
-  if (config_.inbox_capacity > 0 &&
-      nodes_[msg.to]->inbox_depth() >= config_.inbox_capacity) {
-    // Receiver's message channel is full: reject, as Fabric v0.6 does.
-    ++messages_dropped_;
-    if (auto* rec = sim_->recorder()) {
-      rec->MsgDrop(uint32_t(msg.from), sim_->Now(), msg.seq, uint32_t(msg.to),
-                   msg.type, /*in_flight=*/false);
-    }
     return false;
   }
   if (config_.corrupt_probability > 0 &&
@@ -80,9 +70,6 @@ bool Network::Send(Message msg) {
 
   double latency = SampleLatency(msg.size_bytes);
   NodeId to = msg.to;
-  if (auto* tr = sim_->tracer()) {
-    tr->FlowBegin(msg.from, "net", "net.send", sim_->Now(), msg.seq);
-  }
   // In-flight bytes are charged to the *receiver*: that is the node
   // whose inbound queue the scale campaign will see balloon under
   // quorum broadcast, and the attribution the mem gates reason about.
@@ -95,32 +82,21 @@ bool Network::Send(Message msg) {
     if (auto* mt = sim_->memtracker()) {
       mt->Untrack(uint32_t(to), obs::mem::kNetInflight, m.size_bytes);
     }
-    // Re-check fault state at delivery time.
-    if (crashed_[to] || !SameSide(m.from, to)) {
+    // Re-check fault state at delivery time, and the channel-full check
+    // at the receiver (the arrival-time inbox, not the send-time
+    // snapshot, is what overflows under load).
+    if (crashed_[to] || !SameSide(m.from, to) ||
+        (config_.inbox_capacity > 0 &&
+         nodes_[to]->inbox_depth() >= config_.inbox_capacity)) {
       ++messages_dropped_;
-      if (auto* rec = sim_->recorder()) {
-        rec->MsgDrop(uint32_t(to), sim_->Now(), m.seq, uint32_t(m.from),
-                     m.type, /*in_flight=*/true);
+      if (auto* p = sim_->probe()) {
+        p->MsgDrop(uint32_t(to), sim_->Now(), m.seq, uint32_t(m.from), m.type);
       }
       return;
     }
-    // Channel-full check at the receiver (the arrival-time inbox, not
-    // the send-time snapshot, is what overflows under load).
-    if (config_.inbox_capacity > 0 &&
-        nodes_[to]->inbox_depth() >= config_.inbox_capacity) {
-      ++messages_dropped_;
-      if (auto* rec = sim_->recorder()) {
-        rec->MsgDrop(uint32_t(to), sim_->Now(), m.seq, uint32_t(m.from),
-                     m.type, /*in_flight=*/true);
-      }
-      return;
-    }
-    if (auto* tr = sim_->tracer()) {
-      tr->FlowEnd(to, "net", "net.recv", sim_->Now(), m.seq);
-    }
-    if (auto* rec = sim_->recorder()) {
-      rec->MsgRecv(uint32_t(to), sim_->Now(), m.seq, uint32_t(m.from), m.type,
-                   m.size_bytes);
+    if (auto* p = sim_->probe()) {
+      p->MsgRecv(uint32_t(to), sim_->Now(), m.seq, uint32_t(m.from), m.type,
+                 m.size_bytes);
     }
     nodes_[to]->Deliver(std::move(m));
   });
@@ -149,14 +125,8 @@ void Network::Crash(NodeId id) {
   assert(id < nodes_.size());
   crashed_[id] = true;
   nodes_[id]->set_crashed(true);
-  // Fault-schedule edges land in both observability sinks: Perfetto
-  // traces show when the fault fired, and the flight recorder keeps it
-  // in the node's black-box ring for post-mortems.
-  if (auto* tr = sim_->tracer()) {
-    tr->Instant(uint32_t(id), "fault", "fault.crash", sim_->Now());
-  }
-  if (auto* rec = sim_->recorder()) {
-    rec->Fault(obs::FlightRecorder::Kind::kCrash, uint32_t(id), sim_->Now());
+  if (auto* p = sim_->probe()) {
+    p->Fault(obs::FlightRecorder::Kind::kCrash, uint32_t(id), sim_->Now());
   }
 }
 
@@ -164,11 +134,8 @@ void Network::Restart(NodeId id) {
   assert(id < nodes_.size());
   crashed_[id] = false;
   nodes_[id]->set_crashed(false);
-  if (auto* tr = sim_->tracer()) {
-    tr->Instant(uint32_t(id), "fault", "fault.recover", sim_->Now());
-  }
-  if (auto* rec = sim_->recorder()) {
-    rec->Fault(obs::FlightRecorder::Kind::kRecover, uint32_t(id), sim_->Now());
+  if (auto* p = sim_->probe()) {
+    p->Fault(obs::FlightRecorder::Kind::kRecover, uint32_t(id), sim_->Now());
   }
 }
 
@@ -183,26 +150,19 @@ void Network::Partition(const std::vector<NodeId>& group_a) {
   partitioned_ = true;
   // One edge per node, tagged with the side it landed on, so each ring
   // is self-contained for the per-node timeline.
-  for (NodeId id = 0; id < side_.size(); ++id) {
-    if (auto* tr = sim_->tracer()) {
-      tr->Instant(uint32_t(id), "fault", "fault.partition", sim_->Now(),
-                  "side", double(side_[id]));
-    }
-    if (auto* rec = sim_->recorder()) {
-      rec->Fault(obs::FlightRecorder::Kind::kPartition, uint32_t(id),
-                 sim_->Now(), side_[id]);
+  if (auto* p = sim_->probe()) {
+    for (NodeId id = 0; id < side_.size(); ++id) {
+      p->Fault(obs::FlightRecorder::Kind::kPartition, uint32_t(id),
+               sim_->Now(), side_[id]);
     }
   }
 }
 
 void Network::HealPartition() {
   partitioned_ = false;
-  for (NodeId id = 0; id < side_.size(); ++id) {
-    if (auto* tr = sim_->tracer()) {
-      tr->Instant(uint32_t(id), "fault", "fault.heal", sim_->Now());
-    }
-    if (auto* rec = sim_->recorder()) {
-      rec->Fault(obs::FlightRecorder::Kind::kHeal, uint32_t(id), sim_->Now());
+  if (auto* p = sim_->probe()) {
+    for (NodeId id = 0; id < side_.size(); ++id) {
+      p->Fault(obs::FlightRecorder::Kind::kHeal, uint32_t(id), sim_->Now());
     }
   }
 }

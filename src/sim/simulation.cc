@@ -5,6 +5,7 @@
 
 // Header-only hot paths: bb_sim stays link-independent of bb_obs.
 #include "obs/memtrack.h"
+#include "obs/probe.h"
 #include "obs/profiler.h"
 
 namespace bb::sim {
@@ -185,6 +186,10 @@ void Simulation::Clear() {
   slab_.clear();
   free_.clear();
   horizon_ = now_;
+}
+
+void Simulation::set_probe(obs::Probe* probe) {
+  probe_ = probe != nullptr && !probe->empty() ? probe : nullptr;
 }
 
 void Simulation::set_memtracker(obs::MemTracker* memtracker) {

@@ -34,9 +34,7 @@
 #include "util/random.h"
 
 namespace bb::obs {
-class Tracer;
-class MetricsRegistry;
-class FlightRecorder;
+class Probe;
 class MemTracker;
 }  // namespace bb::obs
 
@@ -163,16 +161,15 @@ class Simulation {
   /// Simulation-global RNG; fork per-component streams from it.
   Rng& rng() { return rng_; }
 
-  /// Observability hooks. Both are non-owning and default to nullptr
-  /// (disabled); every instrumentation site guards on the pointer, so a
-  /// null tracer costs one branch. Attach before constructing the
-  /// platform so genesis-time events are captured too.
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-  obs::Tracer* tracer() const { return tracer_; }
-  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
-  obs::MetricsRegistry* metrics() const { return metrics_; }
-  void set_recorder(obs::FlightRecorder* recorder) { recorder_ = recorder; }
-  obs::FlightRecorder* recorder() const { return recorder_; }
+  /// Observability attach points, both non-owning and null when
+  /// disabled; every instrumentation site guards on the pointer, so a
+  /// detached instrument costs one branch. Attach before constructing
+  /// the platform so genesis-time events are captured too.
+  ///
+  /// The probe forwards each fact of the run to its tracer and flight
+  /// recorder sinks; probe() stays null when the probe has no sink.
+  void set_probe(obs::Probe* probe);
+  obs::Probe* probe() const { return probe_; }
   /// Out-of-line (simulation.cc) so it can bind the virtual clock into
   /// the tracker for high-water-mark timestamps.
   void set_memtracker(obs::MemTracker* memtracker);
@@ -230,9 +227,7 @@ class Simulation {
 
   Rng rng_;
 
-  obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::FlightRecorder* recorder_ = nullptr;
+  obs::Probe* probe_ = nullptr;
   obs::MemTracker* memtracker_ = nullptr;
   bool stop_requested_ = false;
 };

@@ -13,8 +13,8 @@
 
 #include "bench/common.h"
 #include "obs/auditor.h"
+#include "obs/probe.h"
 #include "obs/sampler.h"
-#include "obs/trace.h"
 #include "platform/forensics.h"
 #include "sim/network.h"
 #include "sim/simulation.h"
@@ -57,7 +57,8 @@ TEST(Sampler, TicksGaugesAndTags) {
 TEST(Sampler, EmitsCounterTracksWhenTraced) {
   sim::Simulation sim(1);
   Tracer tracer;
-  sim.set_tracer(&tracer);
+  Probe probe(&tracer, nullptr);
+  sim.set_probe(&probe);
   Sampler sampler(Sampler::Config{1.0, 0.0});
   sampler.AddGauge(2, "pool.depth", [] { return 5.0; });
   sampler.Schedule(&sim, 2.0);

@@ -15,6 +15,7 @@
 
 #include "bench/common.h"
 #include "obs/metrics.h"
+#include "obs/probe.h"
 #include "obs/recorder.h"
 #include "sim/network.h"
 #include "sim/simulation.h"
@@ -27,10 +28,11 @@ namespace {
 
 TEST(FlightRecorder, RecordsAndIntrospects) {
   FlightRecorder rec(8);
-  rec.MsgSend(0, 1.0, 7, 1, "prepare", 100);
-  rec.MsgRecv(1, 1.5, 7, 0, "prepare", 100);
-  rec.Phase(0, 2.0, "pbft.view_change", 3);
-  rec.Fault(FlightRecorder::Kind::kCrash, 1, 2.5);
+  Probe probe(nullptr, &rec);
+  probe.MsgSend(0, 1.0, 7, 1, "prepare", 100, /*dropped=*/false);
+  probe.MsgRecv(1, 1.5, 7, 0, "prepare", 100);
+  probe.Phase(0, 2.0, "pbft.view_change", 3);
+  probe.Fault(FlightRecorder::Kind::kCrash, 1, 2.5);
 
   EXPECT_EQ(rec.num_nodes(), 2u);
   EXPECT_EQ(rec.recorded(0), 2u);
@@ -55,8 +57,9 @@ TEST(FlightRecorder, RecordsAndIntrospects) {
 
 TEST(FlightRecorder, RingWrapsAndEvictsOldest) {
   FlightRecorder rec(4);
+  Probe probe(nullptr, &rec);
   for (int i = 0; i < 10; ++i) {
-    rec.Phase(0, double(i), "tick", uint64_t(i));
+    probe.Phase(0, double(i), "tick", uint64_t(i));
   }
   EXPECT_EQ(rec.recorded(0), 10u);
   EXPECT_EQ(rec.evicted(0), 6u);
@@ -70,11 +73,12 @@ TEST(FlightRecorder, RingWrapsAndEvictsOldest) {
 
 TEST(FlightRecorder, ExactlyFullRingDoesNotEvict) {
   FlightRecorder rec(4);
-  for (int i = 0; i < 4; ++i) rec.Phase(0, double(i), "tick", uint64_t(i));
+  Probe probe(nullptr, &rec);
+  for (int i = 0; i < 4; ++i) probe.Phase(0, double(i), "tick", uint64_t(i));
   EXPECT_EQ(rec.evicted(0), 0u);
   for (size_t i = 0; i < 4; ++i) EXPECT_EQ(rec.At(0, i).id, i);
   // One more push evicts exactly the oldest.
-  rec.Phase(0, 4.0, "tick", 4);
+  probe.Phase(0, 4.0, "tick", 4);
   EXPECT_EQ(rec.evicted(0), 1u);
   EXPECT_EQ(rec.At(0, 0).id, 1u);
   EXPECT_EQ(rec.At(0, 3).id, 4u);
@@ -82,15 +86,17 @@ TEST(FlightRecorder, ExactlyFullRingDoesNotEvict) {
 
 TEST(FlightRecorder, InternsNamesOnce) {
   FlightRecorder rec;
-  for (int i = 0; i < 100; ++i) rec.Phase(0, double(i), "pbft.prepare");
-  rec.Phase(1, 100.0, "pbft.commit");
+  Probe probe(nullptr, &rec);
+  for (int i = 0; i < 100; ++i) probe.Phase(0, double(i), "pbft.prepare", 0);
+  probe.Phase(1, 100.0, "pbft.commit", 0);
   EXPECT_EQ(rec.num_names(), 2u);
 }
 
 TEST(FlightRecorder, ExportMetricsPublishesRingPressure) {
   FlightRecorder rec(4);
-  for (int i = 0; i < 10; ++i) rec.Phase(0, double(i), "tick", uint64_t(i));
-  rec.Phase(1, 0.0, "tick", 0);
+  Probe probe(nullptr, &rec);
+  for (int i = 0; i < 10; ++i) probe.Phase(0, double(i), "tick", uint64_t(i));
+  probe.Phase(1, 0.0, "tick", 0);
 
   MetricsRegistry reg;
   rec.ExportMetrics(&reg);
@@ -160,6 +166,35 @@ TEST(RunSpec, FromJsonRejectsMissingSeed) {
     if (k != "driver_seed") stripped.Set(k, v);
   }
   EXPECT_FALSE(RunSpec::FromJson(stripped).ok());
+}
+
+TEST(RunSpec, ValidateNamesTheFlagAtFault) {
+  EXPECT_TRUE(RunSpec{}.Validate().ok());
+  RunSpec closed_loop;
+  closed_loop.rate = 0;
+  closed_loop.max_outstanding = 4;
+  EXPECT_TRUE(closed_loop.Validate().ok());
+
+  struct Case {
+    void (*mutate)(RunSpec*);
+    const char* flag;
+  };
+  const Case kCases[] = {
+      {[](RunSpec* s) { s->servers = 0; }, "--servers"},
+      {[](RunSpec* s) { s->clients = 0; }, "--clients"},
+      {[](RunSpec* s) { s->rate = -5; }, "--rate"},
+      {[](RunSpec* s) { s->rate = 0; }, "--rate"},  // open loop, no load
+      {[](RunSpec* s) { s->duration = 0; }, "--duration"},
+      {[](RunSpec* s) { s->warmup = -1; }, "--warmup"},
+      {[](RunSpec* s) { s->duration = 5; }, "--warmup"},  // default warmup 10
+  };
+  for (const Case& c : kCases) {
+    RunSpec s;
+    c.mutate(&s);
+    Status st = s.Validate();
+    ASSERT_FALSE(st.ok()) << c.flag;
+    EXPECT_NE(st.message().find(c.flag), std::string::npos) << st.message();
+  }
 }
 
 // --- End-to-end dumps --------------------------------------------------------

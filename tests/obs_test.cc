@@ -1,6 +1,7 @@
 // Observability subsystem tests: MetricsRegistry label normalization and
 // merge semantics, Tracer lifecycle-milestone rules, the golden 4-node
-// traces of all five engines and a 2-shard run, and trace identity across sweep --jobs values (the
+// traces of all five engines and a 2-shard run, probe sink
+// independence, and trace identity across sweep --jobs values (the
 // determinism contract of docs/OBSERVABILITY.md).
 
 #include <gtest/gtest.h>
@@ -11,8 +12,12 @@
 
 #include "bench/common.h"
 #include "obs/metrics.h"
+#include "obs/probe.h"
 #include "obs/profiler.h"
+#include "obs/recorder.h"
 #include "obs/trace.h"
+#include "sim/network.h"
+#include "sim/simulation.h"
 #include "util/sha256.h"
 
 namespace bb::obs {
@@ -465,6 +470,58 @@ TEST(TraceGolden, Pbft4NodeByteForByte) {
     EXPECT_EQ(Sha256::Digest(trace).ToHex(), c.digest)
         << "trace is " << trace.size() << " bytes";
   }
+}
+
+// --- Probe -------------------------------------------------------------------
+
+// One 4-node PBFT scenario (with a partition and a crash, so fault edges
+// and drops are exercised) run three ways: tracer only, recorder only,
+// both. Each sink's output must not depend on whether the other sink is
+// attached, and a probe without sinks must leave Simulation::probe()
+// null.
+TEST(Probe, SinksAreIndependent) {
+  workloads::RegisterAllChaincodes();
+  auto run = [](Tracer* tracer, FlightRecorder* recorder) {
+    bench::MacroConfig cfg = PbftConfig();
+    cfg.tracer = tracer;
+    cfg.recorder = recorder;
+    auto r = bench::MacroRun::Create(cfg);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_NE((*r)->rsim().probe(), nullptr);
+    sim::Network* net = &(*r)->rplatform().network();
+    (*r)->rsim().At(3.0, [net] { net->Partition({0, 1}); });
+    (*r)->rsim().At(5.0, [net] { net->HealPartition(); });
+    (*r)->rsim().At(6.0, [net] { net->Crash(3); });
+    (*r)->rsim().At(8.0, [net] { net->Restart(3); });
+    (*r)->Run();
+  };
+  Tracer tracer_only;
+  run(&tracer_only, nullptr);
+  FlightRecorder recorder_only;
+  run(nullptr, &recorder_only);
+  Tracer tracer_both;
+  FlightRecorder recorder_both;
+  run(&tracer_both, &recorder_both);
+
+  std::string trace = tracer_only.DumpChromeTrace();
+  EXPECT_NE(trace.find("fault.partition"), std::string::npos);
+  EXPECT_EQ(trace, tracer_both.DumpChromeTrace());
+  RunSpec spec;
+  BlackboxTrigger trigger;
+  std::string dump = recorder_only.ToJson(spec, trigger).Dump(2);
+  EXPECT_NE(dump.find("\"crash\""), std::string::npos);
+  EXPECT_EQ(dump, recorder_both.ToJson(spec, trigger).Dump(2));
+
+  auto untraced = bench::MacroRun::Create(PbftConfig());
+  ASSERT_TRUE(untraced.ok());
+  EXPECT_EQ((*untraced)->rsim().probe(), nullptr);
+  sim::Simulation sim;
+  Probe empty(nullptr, nullptr);
+  sim.set_probe(&empty);
+  EXPECT_EQ(sim.probe(), nullptr);
+  Probe traced(&tracer_only, nullptr);
+  sim.set_probe(&traced);
+  EXPECT_EQ(sim.probe(), &traced);
 }
 
 // A sweep must produce identical traces no matter how many worker

@@ -52,10 +52,9 @@
 #include "obs/auditor.h"
 #include "obs/memtrack.h"
 #include "obs/metrics.h"
+#include "obs/probe.h"
 #include "obs/profiler.h"
-#include "obs/recorder.h"
 #include "obs/sampler.h"
-#include "obs/trace.h"
 #include "platform/forensics.h"
 #include "report_common.h"
 #include "platform/platform.h"
@@ -72,27 +71,11 @@ using namespace bb;
 
 namespace {
 
-struct Args {
-  std::string platform = "hyperledger";
-  std::string workload = "ycsb";
-  size_t servers = 8;
-  size_t clients = 8;
+/// The run itself is an obs::RunSpec (what a blackbox dump records and
+/// --replay restores); the rest are output and instrument flags. Only a
+/// replay sets drain, the split seeds and the preload sizes.
+struct Args : obs::RunSpec {
   size_t shards = 0;  // 0 = leave the spec's @shards= (or unsharded) alone
-  double cross_shard = 0;
-  double rate = 100;
-  double duration = 120;
-  double warmup = 10;
-  double drain = 30;  // DriverConfig default; a replayed spec may differ
-  uint64_t seed = 42;
-  uint64_t platform_seed = 42;  // normally == seed; replay may split them
-  uint64_t driver_seed = 42;
-  uint64_t ycsb_records = 0;  // 0 = workload default; only replay sets these
-  uint64_t smallbank_accounts = 0;
-  size_t max_outstanding = 0;
-  std::vector<std::pair<size_t, double>> crashes;  // (server, time)
-  double partition_start = -1, partition_end = -1;
-  double delay = 0;
-  double corrupt = 0;
   bool timeline = false;
   std::string trace_path;
   bool metrics = false;
@@ -203,14 +186,14 @@ examples: pbft+trie+evm   tendermint+bucket+native   pbft+trie+evm@shards=4
 
   a->platform = util::FlagValue(argc, argv, "--platform").value_or(a->platform);
   a->workload = util::FlagValue(argc, argv, "--workload").value_or(a->workload);
-  a->servers = size_t(util::FlagUint(argc, argv, "--servers", a->servers));
-  a->clients = size_t(util::FlagUint(argc, argv, "--clients", a->clients));
+  a->servers = util::FlagUint(argc, argv, "--servers", a->servers);
+  a->clients = util::FlagUint(argc, argv, "--clients", a->clients);
   a->rate = util::FlagDouble(argc, argv, "--rate", a->rate);
   a->duration = util::FlagDouble(argc, argv, "--duration", a->duration);
   a->warmup = util::FlagDouble(argc, argv, "--warmup", a->warmup);
   a->seed = util::FlagUint(argc, argv, "--seed", a->seed);
-  a->max_outstanding = size_t(
-      util::FlagUint(argc, argv, "--max-outstanding", a->max_outstanding));
+  a->max_outstanding =
+      util::FlagUint(argc, argv, "--max-outstanding", a->max_outstanding);
   a->shards = size_t(util::FlagUint(argc, argv, "--shards", a->shards));
   a->cross_shard =
       util::FlagDouble(argc, argv, "--cross-shard", a->cross_shard);
@@ -242,7 +225,7 @@ examples: pbft+trie+evm   tendermint+bucket+native   pbft+trie+evm@shards=4
     std::string v = s.substr(sizeof("--crash=") - 1);
     auto at = v.find('@');
     if (at == std::string::npos) return false;
-    a->crashes.emplace_back(size_t(std::atoll(v.substr(0, at).c_str())),
+    a->crashes.emplace_back(uint64_t(std::atoll(v.substr(0, at).c_str())),
                             std::atof(v.substr(at + 1).c_str()));
   }
   if (auto part = util::FlagValue(argc, argv, "--partition")) {
@@ -290,62 +273,12 @@ std::unique_ptr<core::WorkloadConnector> WorkloadFor(const std::string& name,
   std::exit(2);
 }
 
-/// The recorded spec becomes the new Args defaults; Parse() then runs as
-/// usual, so any explicit CLI flag still overrides a replayed field.
-void ApplySpec(const obs::RunSpec& s, Args* a) {
-  a->platform = s.platform;
-  a->workload = s.workload;
-  a->servers = size_t(s.servers);
-  a->clients = size_t(s.clients);
-  a->cross_shard = s.cross_shard;
-  a->rate = s.rate;
-  a->duration = s.duration;
-  a->warmup = s.warmup;
-  a->drain = s.drain;
-  a->max_outstanding = size_t(s.max_outstanding);
-  a->seed = s.seed;
-  a->platform_seed = s.platform_seed;
-  a->driver_seed = s.driver_seed;
-  a->ycsb_records = s.ycsb_records;
-  a->smallbank_accounts = s.smallbank_accounts;
-  for (const auto& [id, t] : s.crashes) a->crashes.emplace_back(size_t(id), t);
-  a->partition_start = s.partition_start;
-  a->partition_end = s.partition_end;
-  a->delay = s.delay;
-  a->corrupt = s.corrupt;
-}
-
-obs::RunSpec SpecFromArgs(const Args& a) {
-  obs::RunSpec s;
-  s.platform = a.platform;  // post --shards rewrite: the full stack spec
-  s.workload = a.workload;
-  s.servers = a.servers;
-  s.clients = a.clients;
-  s.cross_shard = a.cross_shard;
-  s.rate = a.rate;
-  s.duration = a.duration;
-  s.warmup = a.warmup;
-  s.drain = a.drain;
-  s.max_outstanding = a.max_outstanding;
-  s.seed = a.seed;
-  s.platform_seed = a.platform_seed;
-  s.driver_seed = a.driver_seed;
-  s.ycsb_records = a.ycsb_records;
-  s.smallbank_accounts = a.smallbank_accounts;
-  for (const auto& [id, t] : a.crashes) s.crashes.emplace_back(uint64_t(id), t);
-  s.partition_start = a.partition_start;
-  s.partition_end = a.partition_end;
-  s.delay = a.delay;
-  s.corrupt = a.corrupt;
-  return s;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Args a;
   // --replay pre-pass: load the dump before Parse() so its recorded run
-  // spec seeds the defaults and explicit flags keep the last word.
+  // spec becomes the defaults and explicit flags keep the last word.
   for (int i = 1; i < argc; ++i) {
     std::string s = argv[i];
     if (s.rfind("--replay=", 0) == 0) {
@@ -370,7 +303,7 @@ int main(int argc, char** argv) {
                    spec.status().ToString().c_str());
       return 1;
     }
-    ApplySpec(*spec, &a);
+    static_cast<obs::RunSpec&>(a) = *spec;
   }
   if (!Parse(argc, argv, &a)) {
     Usage();
@@ -399,13 +332,16 @@ int main(int argc, char** argv) {
     }
     if (a.shards > 1) a.platform += "@shards=" + std::to_string(a.shards);
   }
+  // Flags and a replayed spec meet here, so a hand-edited dump is
+  // rejected exactly like the equivalent command line.
+  if (Status vs = a.Validate(); !vs.ok()) {
+    std::fprintf(stderr, "bbench: %s\n", vs.message().c_str());
+    return 2;
+  }
 
   sim::Simulation sim(a.seed);
   std::unique_ptr<obs::Tracer> tracer;
-  if (!a.trace_path.empty()) {
-    tracer = std::make_unique<obs::Tracer>();
-    sim.set_tracer(tracer.get());
-  }
+  if (!a.trace_path.empty()) tracer = std::make_unique<obs::Tracer>();
 
   // The flight recorder arms whenever a dump could be wanted: an explicit
   // --blackbox, any audited run (a violation auto-dumps the black box),
@@ -414,8 +350,9 @@ int main(int argc, char** argv) {
   if (!a.blackbox_path.empty() || !a.audit_path.empty() || replaying) {
     recorder = std::make_unique<obs::FlightRecorder>();
     if (a.until_seq > 0) recorder->set_break_seq(a.until_seq);
-    sim.set_recorder(recorder.get());
   }
+  obs::Probe probe(tracer.get(), recorder.get());
+  sim.set_probe(&probe);
 
   // --mem: attached before platform construction so every node binds its
   // layer gauges at build time.
@@ -664,7 +601,7 @@ int main(int argc, char** argv) {
     std::string bb_path = !a.blackbox_path.empty()
                               ? a.blackbox_path
                               : a.audit_path + ".blackbox.json";
-    Status bs = recorder->WriteJson(bb_path, SpecFromArgs(a), trigger);
+    Status bs = recorder->WriteJson(bb_path, a, trigger);
     if (!bs.ok()) {
       std::fprintf(stderr, "blackbox write failed: %s\n",
                    bs.ToString().c_str());
