@@ -7,7 +7,7 @@
 // the events/sec ratio isolates the wall-clock win on the machine that
 // runs the bench. CI gates on that same-run ratio plus an absolute
 // comparison against the committed seed baseline
-// (bench/baselines/BENCH_SEED_pbft16_ycsb.json) via bench_report.
+// (bench/baselines/BENCH_SEED_pbft16_ycsb.json) via bbreport.
 //
 // --jobs is forced to 1: the legacy toggle is process-wide, and timing
 // two variants concurrently would let them steal each other's cycles.
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
                 events_per_sec[1] / events_per_sec[0]);
   }
 
-  // With --profile, attribute the win: same diff table prof_report
+  // With --profile, attribute the win: same diff table bbreport --diff
   // prints for `--diff legacy.prof.json optimized.prof.json`, so every
   // raw-speed step can land with a profile-diff in the PR.
   if (runner.profiling()) {

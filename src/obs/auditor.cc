@@ -584,4 +584,118 @@ std::string AuditReport::RenderTable() const {
   return out;
 }
 
+// --- Document-side helpers (bbreport, tests) ---------------------------------
+
+namespace {
+
+/// The member `key` of `obj` when it has JSON type `type`, else null.
+const util::Json* Typed(const util::Json& obj, const char* key,
+                        util::Json::Type type) {
+  const util::Json* v = obj.Get(key);
+  return v != nullptr && v->type() == type ? v : nullptr;
+}
+
+Status Mistyped(const std::string& key) {
+  return Status::InvalidArgument("missing or mistyped '" + key + "'");
+}
+
+}  // namespace
+
+Status ValidateAudit(const util::Json& doc) {
+  using Type = util::Json::Type;
+  const util::Json* schema = Typed(doc, "schema", Type::kString);
+  if (schema == nullptr) return Mistyped("schema");
+  if (schema->AsString() != "blockbench-audit-v1") {
+    return Status::InvalidArgument("unexpected schema '" +
+                                   schema->AsString() + "'");
+  }
+  const util::Json* tree = Typed(doc, "fork_tree", Type::kObject);
+  if (tree == nullptr) return Mistyped("fork_tree");
+  const util::Json* nodes = Typed(doc, "nodes", Type::kArray);
+  if (nodes == nullptr) return Mistyped("nodes");
+  const util::Json* series = Typed(doc, "series", Type::kObject);
+  if (series == nullptr) return Mistyped("series");
+  const util::Json* inv = Typed(doc, "invariants", Type::kObject);
+  if (inv == nullptr) return Mistyped("invariants");
+  for (const char* key : {"distinct_blocks", "agreed_blocks", "forked_blocks",
+                          "forked_pct", "fork_points", "branches",
+                          "max_branch_depth", "wasted_weight"}) {
+    if (Typed(*tree, key, Type::kNumber) == nullptr) return Mistyped(key);
+  }
+  uint64_t distinct = tree->Get("distinct_blocks")->AsUint();
+  uint64_t agreed = tree->Get("agreed_blocks")->AsUint();
+  uint64_t forked = tree->Get("forked_blocks")->AsUint();
+  if (agreed + forked != distinct) {
+    return Status::InvalidArgument(
+        "fork-tree arithmetic broken (agreed " + std::to_string(agreed) +
+        " + forked " + std::to_string(forked) + " != distinct " +
+        std::to_string(distinct) + ")");
+  }
+  if (nodes->size() == 0) {
+    return Status::InvalidArgument("empty nodes section");
+  }
+  for (size_t i = 0; i < nodes->items().size(); ++i) {
+    const util::Json& n = nodes->items()[i];
+    std::string at = "node " + std::to_string(i);
+    for (const char* key : {"node", "head_height", "known_blocks",
+                            "canonical_blocks", "forked_blocks", "reorgs",
+                            "divergence_depth"}) {
+      if (Typed(n, key, Type::kNumber) == nullptr) {
+        return Status::InvalidArgument(at + " missing '" + key + "'");
+      }
+    }
+    uint64_t known = n.Get("known_blocks")->AsUint();
+    if (known > distinct) {
+      return Status::InvalidArgument(
+          at + " knows more blocks than the global tree holds");
+    }
+    if (n.Get("canonical_blocks")->AsUint() +
+            n.Get("forked_blocks")->AsUint() != known) {
+      return Status::InvalidArgument(at + " block accounting broken");
+    }
+  }
+  const util::Json* sealed = Typed(*series, "sealed", Type::kArray);
+  const util::Json* forked_bins = Typed(*series, "forked", Type::kArray);
+  if (sealed == nullptr || forked_bins == nullptr ||
+      sealed->size() != forked_bins->size()) {
+    return Status::InvalidArgument(
+        "series arrays missing or of unequal length");
+  }
+  const util::Json* violations = Typed(*inv, "violations", Type::kArray);
+  const util::Json* ok = Typed(doc, "ok", Type::kBool);
+  if (violations == nullptr || ok == nullptr) {
+    return Status::InvalidArgument("invariants section malformed");
+  }
+  if (ok->AsBool() != (violations->size() == 0)) {
+    return Status::InvalidArgument("'ok' contradicts the violations list");
+  }
+  return Status::Ok();
+}
+
+double AuditRecoveryGap(const util::Json& doc) {
+  const util::Json* rec = doc.Get("recovery");
+  const util::Json* gap = rec != nullptr ? rec->Get("gap_seconds") : nullptr;
+  return gap != nullptr && gap->is_number() ? gap->AsDouble() : -1;
+}
+
+std::string RenderAuditSummary(const util::Json& doc) {
+  const util::Json* tree = doc.Get("fork_tree");
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "%llu blocks, %llu forked (%.1f%%), max branch depth %llu, "
+                "%zu violation(s)",
+                (unsigned long long)tree->Get("distinct_blocks")->AsUint(),
+                (unsigned long long)tree->Get("forked_blocks")->AsUint(),
+                tree->Get("forked_pct")->AsDouble(),
+                (unsigned long long)tree->Get("max_branch_depth")->AsUint(),
+                doc.Get("invariants")->Get("violations")->size());
+  std::string out = buf;
+  double gap = AuditRecoveryGap(doc);
+  if (gap >= 0) {
+    std::snprintf(buf, sizeof(buf), ", recovery gap %.1f s", gap);
+    out += buf;
+  }
+  return out + "\n";
+}
+
 }  // namespace bb::obs

@@ -181,6 +181,19 @@ class Auditor {
   std::vector<NodeChainView> views_;
 };
 
+/// Structural validation of a parsed blockbench-audit-v1 document:
+/// schema tag, required sections, fork-tree arithmetic (distinct =
+/// agreed + forked), per-node summaries consistent with the tree, series
+/// arrays of equal length, and an "ok" that matches the violations list.
+Status ValidateAudit(const util::Json& doc);
+
+/// One-line summary of a validated audit document: blocks, forked share,
+/// deepest branch, violation count and the post-heal recovery gap.
+std::string RenderAuditSummary(const util::Json& doc);
+
+/// recovery.gap_seconds of a validated audit document; -1 when absent.
+double AuditRecoveryGap(const util::Json& doc);
+
 }  // namespace bb::obs
 
 #endif  // BLOCKBENCH_OBS_AUDITOR_H_

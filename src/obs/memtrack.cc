@@ -6,25 +6,12 @@
 #include <cstdio>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "util/bufwriter.h"
 
 namespace bb::obs {
 
 namespace {
-
-std::string FormatBytes(double b) {
-  char buf[32];
-  if (b >= 1e9) {
-    std::snprintf(buf, sizeof(buf), "%.2fGB", b / 1e9);
-  } else if (b >= 1e6) {
-    std::snprintf(buf, sizeof(buf), "%.2fMB", b / 1e6);
-  } else if (b >= 1e3) {
-    std::snprintf(buf, sizeof(buf), "%.1fKB", b / 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.0fB", b);
-  }
-  return buf;
-}
 
 util::Json CounterToJson(const MemTracker::Counter& c, bool peak_is_sum) {
   util::Json j = util::Json::Object();
@@ -354,7 +341,7 @@ Status ValidateMemDump(const util::Json& dump) {
   return Status::Ok();
 }
 
-// --- Report rendering (shared by tools/mem_report and bbench) ----------------
+// --- Report rendering (shared by bbreport and bbench) -------------------------
 
 namespace {
 
@@ -384,20 +371,6 @@ double ClusterPeak(const util::Json& dump) {
     if (const util::Json* p = c->Get("peak")) return p->AsDouble();
   }
   return 0;
-}
-
-std::string FormatCount(double c) {
-  char buf[32];
-  if (c >= 1e9) {
-    std::snprintf(buf, sizeof(buf), "%.2fG", c / 1e9);
-  } else if (c >= 1e6) {
-    std::snprintf(buf, sizeof(buf), "%.2fM", c / 1e6);
-  } else if (c >= 1e3) {
-    std::snprintf(buf, sizeof(buf), "%.1fk", c / 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.0f", c);
-  }
-  return buf;
 }
 
 }  // namespace

@@ -199,4 +199,32 @@ std::string MetricsRegistry::RenderTable() const {
   return out;
 }
 
+std::string FormatBytes(double b) {
+  char buf[32];
+  if (b >= 1e9) {
+    std::snprintf(buf, sizeof(buf), "%.2fGB", b / 1e9);
+  } else if (b >= 1e6) {
+    std::snprintf(buf, sizeof(buf), "%.2fMB", b / 1e6);
+  } else if (b >= 1e3) {
+    std::snprintf(buf, sizeof(buf), "%.1fKB", b / 1e3);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.0fB", b);
+  }
+  return buf;
+}
+
+std::string FormatCount(double c) {
+  char buf[32];
+  if (c >= 1e9) {
+    std::snprintf(buf, sizeof(buf), "%.2fG", c / 1e9);
+  } else if (c >= 1e6) {
+    std::snprintf(buf, sizeof(buf), "%.2fM", c / 1e6);
+  } else if (c >= 1e3) {
+    std::snprintf(buf, sizeof(buf), "%.1fk", c / 1e3);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.0f", c);
+  }
+  return buf;
+}
+
 }  // namespace bb::obs

@@ -76,6 +76,11 @@ class MetricsRegistry {
   std::map<std::string, Instrument> by_key_;
 };
 
+/// Decimal-prefixed magnitudes for the report tables ("1.23MB", "4.5k"),
+/// shared by the profile and memory renderers.
+std::string FormatBytes(double bytes);
+std::string FormatCount(double count);
+
 }  // namespace bb::obs
 
 #endif  // BLOCKBENCH_OBS_METRICS_H_

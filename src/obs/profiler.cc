@@ -5,6 +5,7 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "obs/metrics.h"
 #include "util/bufwriter.h"
 
 namespace bb::obs {
@@ -25,34 +26,6 @@ std::string FormatSeconds(double s) {
     std::snprintf(buf, sizeof(buf), "%.2fms", s * 1e3);
   } else {
     std::snprintf(buf, sizeof(buf), "%.1fus", s * 1e6);
-  }
-  return buf;
-}
-
-std::string FormatBytes(double b) {
-  char buf[32];
-  if (b >= 1e9) {
-    std::snprintf(buf, sizeof(buf), "%.2fGB", b / 1e9);
-  } else if (b >= 1e6) {
-    std::snprintf(buf, sizeof(buf), "%.2fMB", b / 1e6);
-  } else if (b >= 1e3) {
-    std::snprintf(buf, sizeof(buf), "%.1fKB", b / 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.0fB", b);
-  }
-  return buf;
-}
-
-std::string FormatCount(double c) {
-  char buf[32];
-  if (c >= 1e9) {
-    std::snprintf(buf, sizeof(buf), "%.2fG", c / 1e9);
-  } else if (c >= 1e6) {
-    std::snprintf(buf, sizeof(buf), "%.2fM", c / 1e6);
-  } else if (c >= 1e3) {
-    std::snprintf(buf, sizeof(buf), "%.1fk", c / 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.0f", c);
   }
   return buf;
 }
@@ -420,7 +393,7 @@ Status Profiler::WriteJson(const std::string& path) const {
   return writer.Close();
 }
 
-// --- Report rendering (shared by prof_report and bench_raw_speed) ------------
+// --- Report rendering (shared by bbreport and bench_raw_speed) ---------------
 
 std::string RenderProfileAttribution(const util::Json& profile) {
   std::string out;

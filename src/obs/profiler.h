@@ -447,7 +447,7 @@ class Profiler {
 };
 
 /// Renders the subsystem attribution table for one profile document
-/// (parsed blockbench-profile-v1). Shared by tools/prof_report and
+/// (parsed blockbench-profile-v1). Shared by tools/bbreport and
 /// bench_raw_speed so the PR-facing tables are identical.
 std::string RenderProfileAttribution(const util::Json& profile);
 

@@ -13,6 +13,12 @@ namespace {
 
 constexpr char kSchema[] = "blockbench-blackbox-v1";
 
+/// A JSON number that AsUint() reads back exactly.
+bool IsUint(const util::Json& v) {
+  return v.is_number() && v.AsDouble() >= 0 && v.AsDouble() < 1.8e19 &&
+         v.AsDouble() == double(v.AsUint());
+}
+
 }  // namespace
 
 int FlightRecorder::KindFromName(const std::string& name) {
@@ -79,6 +85,19 @@ Status RunSpec::Validate() const {
   if (!(warmup >= 0 && warmup < duration)) {
     return bad("--warmup", "in [0, --duration)", warmup);
   }
+  if (!(delay >= 0)) return bad("--delay", ">= 0", delay);
+  if (!(corrupt >= 0 && corrupt <= 1)) {
+    return bad("--corrupt", "in [0, 1]", corrupt);
+  }
+  // Both ends stay at -1 for "no partition"; anything else is a window.
+  if ((partition_start >= 0 || partition_end >= 0) &&
+      !(partition_start >= 0 && partition_start < partition_end)) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%g:%g", partition_start, partition_end);
+    return Status::InvalidArgument(
+        std::string("--partition must be T0:T1 with 0 <= T0 < T1 (got ") +
+        buf + ")");
+  }
   return Status::Ok();
 }
 
@@ -86,54 +105,73 @@ Result<RunSpec> RunSpec::FromJson(const util::Json& run) {
   if (!run.is_object()) {
     return Status::InvalidArgument("run spec is not an object");
   }
-  RunSpec s;
-  // Required fields: a dump a replay cannot faithfully re-run from is a
-  // validation error, not a silent default.
-  const char* required[] = {"platform", "workload", "servers",       "clients",
-                            "rate",     "duration", "warmup",        "drain",
-                            "seed",     "platform_seed", "driver_seed"};
-  for (const char* key : required) {
-    if (run.Get(key) == nullptr) {
-      return Status::InvalidArgument(std::string("run spec missing \"") + key +
-                                     "\"");
+  // A dump a replay cannot faithfully re-run from is a validation error,
+  // not a silent default: required fields must be present, and every
+  // field must carry its recorded type (a string read as a number would
+  // replay as 0).
+  Status status = Status::Ok();
+  auto field = [&](const char* key, bool required,
+                   bool (*typed)(const util::Json&),
+                   const char* type_name) -> const util::Json* {
+    const util::Json* v = run.Get(key);
+    if (!status.ok() || (v == nullptr && !required)) return nullptr;
+    if (v == nullptr) {
+      status = Status::InvalidArgument(std::string("run spec missing \"") +
+                                       key + "\"");
+    } else if (!typed(*v)) {
+      status = Status::InvalidArgument(std::string("run spec field \"") +
+                                       key + "\" is not " + type_name);
     }
-  }
-  s.platform = run.Get("platform")->AsString();
-  s.workload = run.Get("workload")->AsString();
-  s.servers = run.Get("servers")->AsUint();
-  s.clients = run.Get("clients")->AsUint();
-  s.rate = run.Get("rate")->AsDouble();
-  s.duration = run.Get("duration")->AsDouble();
-  s.warmup = run.Get("warmup")->AsDouble();
-  s.drain = run.Get("drain")->AsDouble();
-  s.seed = run.Get("seed")->AsUint();
-  s.platform_seed = run.Get("platform_seed")->AsUint();
-  s.driver_seed = run.Get("driver_seed")->AsUint();
-  if (const auto* v = run.Get("cross_shard")) s.cross_shard = v->AsDouble();
-  if (const auto* v = run.Get("max_outstanding")) {
-    s.max_outstanding = v->AsUint();
-  }
-  if (const auto* v = run.Get("ycsb_records")) s.ycsb_records = v->AsUint();
-  if (const auto* v = run.Get("smallbank_accounts")) {
-    s.smallbank_accounts = v->AsUint();
-  }
+    return status.ok() ? v : nullptr;
+  };
+  auto is_string = [](const util::Json& v) { return v.is_string(); };
+  auto is_number = [](const util::Json& v) { return v.is_number(); };
+  auto text = [&](const char* key, std::string* out) {
+    if (auto* v = field(key, true, is_string, "a string")) *out = v->AsString();
+  };
+  auto number = [&](const char* key, bool required, double* out) {
+    if (auto* v = field(key, required, is_number, "a number")) {
+      *out = v->AsDouble();
+    }
+  };
+  auto uint = [&](const char* key, bool required, uint64_t* out) {
+    if (auto* v = field(key, required, IsUint, "an unsigned integer")) {
+      *out = v->AsUint();
+    }
+  };
+  RunSpec s;
+  text("platform", &s.platform);
+  text("workload", &s.workload);
+  uint("servers", true, &s.servers);
+  uint("clients", true, &s.clients);
+  number("rate", true, &s.rate);
+  number("duration", true, &s.duration);
+  number("warmup", true, &s.warmup);
+  number("drain", true, &s.drain);
+  uint("seed", true, &s.seed);
+  uint("platform_seed", true, &s.platform_seed);
+  uint("driver_seed", true, &s.driver_seed);
+  number("cross_shard", false, &s.cross_shard);
+  uint("max_outstanding", false, &s.max_outstanding);
+  uint("ycsb_records", false, &s.ycsb_records);
+  uint("smallbank_accounts", false, &s.smallbank_accounts);
+  number("partition_start", false, &s.partition_start);
+  number("partition_end", false, &s.partition_end);
+  number("delay", false, &s.delay);
+  number("corrupt", false, &s.corrupt);
+  if (!status.ok()) return status;
   if (const auto* v = run.Get("crashes")) {
     if (!v->is_array()) {
       return Status::InvalidArgument("run spec \"crashes\" is not an array");
     }
     for (const auto& c : v->items()) {
-      if (!c.is_array() || c.size() != 2) {
+      if (!c.is_array() || c.size() != 2 || !IsUint(c.items()[0]) ||
+          !c.items()[1].is_number()) {
         return Status::InvalidArgument("run spec crash entry is not [id, t]");
       }
       s.crashes.emplace_back(c.items()[0].AsUint(), c.items()[1].AsDouble());
     }
   }
-  if (const auto* v = run.Get("partition_start")) {
-    s.partition_start = v->AsDouble();
-  }
-  if (const auto* v = run.Get("partition_end")) s.partition_end = v->AsDouble();
-  if (const auto* v = run.Get("delay")) s.delay = v->AsDouble();
-  if (const auto* v = run.Get("corrupt")) s.corrupt = v->AsDouble();
   return s;
 }
 
@@ -329,7 +367,7 @@ Status FlightRecorder::WriteJson(const std::string& path, const RunSpec& run,
   return Status::Ok();
 }
 
-// --- Document-side helpers (blackbox_report, tests) --------------------------
+// --- Document-side helpers (bbreport, tests) --------------------------
 
 namespace {
 
@@ -400,6 +438,19 @@ Status ValidateBlackbox(const util::Json& doc) {
       slice->Get("records") == nullptr ||
       !slice->Get("records")->is_array()) {
     return Bad("missing or malformed \"causal_slice\"");
+  }
+  // The target is null (nothing recorded) or names one record.
+  const util::Json* target = slice->Get("target");
+  if (target != nullptr && !target->is_null()) {
+    const util::Json* kind = target->Get("kind");
+    const util::Json* node = target->Get("node");
+    const util::Json* t = target->Get("t");
+    const util::Json* height = target->Get("height");
+    if (!target->is_object() || kind == nullptr || !kind->is_string() ||
+        node == nullptr || !IsUint(*node) || t == nullptr ||
+        !t->is_number() || height == nullptr || !IsUint(*height)) {
+      return Bad("causal-slice target is malformed");
+    }
   }
   for (const auto& rec : slice->Get("records")->items()) {
     if (!rec.is_object() || rec.Get("node") == nullptr ||
@@ -555,7 +606,7 @@ std::string FirstDivergence(const util::Json& doc) {
         if (ib == views[b].second.end()) continue;
         if (ia->second != ib->second) {
           std::snprintf(buf, sizeof(buf),
-                        "first divergence: height %llu — node %u committed "
+                        "height %llu — node %u committed "
                         "%#llx, node %u committed %#llx",
                         (unsigned long long)h, views[a].first,
                         (unsigned long long)ia->second, views[b].first,

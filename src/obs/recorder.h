@@ -67,11 +67,15 @@ struct RunSpec {
   double corrupt = 0;
 
   util::Json ToJson() const;
+  /// Rejects a missing required field or a field of the wrong JSON type,
+  /// naming the field.
   static Result<RunSpec> FromJson(const util::Json& run);
   /// Rejects a spec that cannot produce a meaningful run, naming the
   /// bbench flag at fault: servers >= 1, clients >= 1, rate > 0 (or 0
-  /// with a max_outstanding window, i.e. closed loop), duration > 0 and
-  /// 0 <= warmup < duration (the measured window must not be empty).
+  /// with a max_outstanding window, i.e. closed loop), duration > 0,
+  /// 0 <= warmup < duration (the measured window must not be empty),
+  /// delay >= 0, 0 <= corrupt <= 1, and a partition window with
+  /// 0 <= start < end unless both ends are -1 (no partition).
   Status Validate() const;
 };
 

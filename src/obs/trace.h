@@ -27,10 +27,12 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "util/json.h"
 #include "util/status.h"
 
 namespace bb::obs {
@@ -80,7 +82,7 @@ class Tracer {
   /// renders them as arrows). Each call also records a zero-duration
   /// anchor span on the node track for the arrow to bind to. A send
   /// whose message is dropped in flight leaves an unmatched 's' —
-  /// trace_report treats that as legal (the arrow just never lands).
+  /// AnalyzeChromeTrace treats that as legal (the arrow just never lands).
   void FlowBegin(uint32_t node, const char* cat, const char* name, double t,
                  uint64_t id) {
     PushEvent(node, cat, name, 'X', t, 0, 0, nullptr, 0);
@@ -140,6 +142,41 @@ class Tracer {
   std::unordered_map<uint64_t, TxMilestones> tx_;
   uint32_t max_tid_ = 0;
 };
+
+/// What a Chrome trace says about a run, gathered while validating it.
+struct TraceSummary {
+  struct SpanStats {
+    uint64_t count = 0;
+    double total_us = 0;
+  };
+  struct CounterStats {
+    uint64_t samples = 0;
+    std::map<std::string, uint64_t> tracks;  // id -> samples on that track
+    double min = 0, max = 0;
+  };
+  uint64_t events = 0, complete_spans = 0, instants = 0, async_pairs = 0;
+  uint64_t counter_samples = 0;
+  uint64_t flow_starts = 0, flow_ends = 0;
+  std::map<std::string, SpanStats> x_spans;      // "cat/name" -> stats
+  std::map<std::string, CounterStats> counters;  // "cat/name" -> stats
+  /// tx id -> per-leg duration in µs (-1 until seen).
+  std::map<std::string, std::array<double, Tracer::kNumTxSpans>> tx_legs;
+};
+
+/// Structural validation of a parsed Chrome trace_event document (the
+/// Tracer's output), filling `out` on the way. Every event needs a known
+/// phase ('X', 'i', 'b', 'e', 'C', 'M', 's', 'f') and a timestamp;
+/// complete spans need a non-negative duration; every async 'b' needs a
+/// matching 'e' with the same (cat, name, id) at a later-or-equal time;
+/// counter samples need an id and numeric-only args; every flow finish
+/// needs a prior start with the same (cat, id). An unmatched flow start
+/// is legal: the message was dropped in flight.
+Status AnalyzeChromeTrace(const util::Json& doc, TraceSummary* out);
+
+/// The event counts line, then the commit-latency critical path of every
+/// complete transaction (per-leg mean, which telescopes to the mean
+/// commit latency, and per-leg p95), named spans and counter tracks.
+std::string RenderTraceSummary(const TraceSummary& t);
 
 }  // namespace bb::obs
 

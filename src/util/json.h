@@ -1,6 +1,6 @@
 // Minimal JSON value model, writer and parser — just enough for the
 // benchmark suite's machine-readable output (--json=<path>) and the
-// bench_report aggregator that merges those files into BENCH_*.json
+// bbreport aggregator that merges those files into BENCH_*.json
 // snapshots. Objects preserve insertion order so emitted files are
 // stable and diffable across runs.
 

@@ -11,6 +11,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/common.h"
@@ -187,6 +188,20 @@ TEST(RunSpec, ValidateNamesTheFlagAtFault) {
       {[](RunSpec* s) { s->duration = 0; }, "--duration"},
       {[](RunSpec* s) { s->warmup = -1; }, "--warmup"},
       {[](RunSpec* s) { s->duration = 5; }, "--warmup"},  // default warmup 10
+      {[](RunSpec* s) { s->delay = -5; }, "--delay"},
+      {[](RunSpec* s) { s->corrupt = 2; }, "--corrupt"},
+      {[](RunSpec* s) { s->corrupt = -0.5; }, "--corrupt"},
+      {[](RunSpec* s) {
+         s->partition_start = 30;
+         s->partition_end = 10;
+       },
+       "--partition"},
+      {[](RunSpec* s) {
+         s->partition_start = 5;
+         s->partition_end = 5;
+       },
+       "--partition"},
+      {[](RunSpec* s) { s->partition_end = 10; }, "--partition"},  // no T0
   };
   for (const Case& c : kCases) {
     RunSpec s;
@@ -195,6 +210,34 @@ TEST(RunSpec, ValidateNamesTheFlagAtFault) {
     ASSERT_FALSE(st.ok()) << c.flag;
     EXPECT_NE(st.message().find(c.flag), std::string::npos) << st.message();
   }
+
+  // A replayed spec is read with the types it was written with: a
+  // wrong-typed field is named instead of replaying as 0.
+  const std::pair<const char*, util::Json> kRetyped[] = {
+      {"seed", util::Json("x")},      {"warmup", util::Json("x")},
+      {"servers", util::Json("x")},   {"servers", util::Json(-4)},
+      {"clients", util::Json(2.5)},   {"platform", util::Json(3)},
+      {"delay", util::Json("x")},     {"corrupt", util::Json(true)},
+      {"ycsb_records", util::Json("x")},
+      {"partition_start", util::Json::Array()},
+  };
+  for (const auto& [field, value] : kRetyped) {
+    util::Json run = RunSpec{}.ToJson();
+    run.Set(field, value);
+    auto back = RunSpec::FromJson(run);
+    ASSERT_FALSE(back.ok()) << field << " = " << value.Dump();
+    EXPECT_NE(back.status().message().find(std::string("\"") + field + "\""),
+              std::string::npos)
+        << back.status().message();
+  }
+  util::Json bad_crash = RunSpec{}.ToJson();
+  util::Json crashes = util::Json::Array();
+  util::Json entry = util::Json::Array();
+  entry.Push("x");
+  entry.Push(1.0);
+  crashes.Push(std::move(entry));
+  bad_crash.Set("crashes", std::move(crashes));
+  EXPECT_FALSE(RunSpec::FromJson(bad_crash).ok());
 }
 
 // --- End-to-end dumps --------------------------------------------------------
@@ -445,6 +488,37 @@ TEST(Blackbox, ValidatorRejectsTampering) {
   util::Json bad_ring = rec.ToJson(spec, trig);
   bad_ring.Set("ring_capacity", 0);
   EXPECT_FALSE(ValidateBlackbox(bad_ring).ok());
+
+  // A causal-slice target is null or names a record in full: each of
+  // these once passed validation and crashed the renderer.
+  const util::Json& slice = *good.Get("causal_slice");
+  const util::Json& target = *slice.Get("target");
+  ASSERT_TRUE(target.is_object());
+  std::vector<util::Json> bad_targets = {util::Json::Object(), util::Json(7)};
+  for (const char* key : {"kind", "node", "t", "height"}) {
+    util::Json stripped = util::Json::Object();
+    util::Json retyped = util::Json::Object();
+    for (const auto& [k, v] : target.members()) {
+      if (k != key) stripped.Set(k, v);
+      retyped.Set(k, k == key ? util::Json(k == "kind" ? util::Json(3)
+                                                       : util::Json("x"))
+                              : v);
+    }
+    bad_targets.push_back(std::move(stripped));
+    bad_targets.push_back(std::move(retyped));
+  }
+  for (const util::Json& bad_target : bad_targets) {
+    util::Json tampered = rec.ToJson(spec, trig);
+    util::Json bad_slice = slice;
+    bad_slice.Set("target", bad_target);
+    tampered.Set("causal_slice", std::move(bad_slice));
+    EXPECT_FALSE(ValidateBlackbox(tampered).ok()) << bad_target.Dump();
+  }
+  util::Json no_target = rec.ToJson(spec, trig);
+  util::Json null_slice = slice;
+  null_slice.Set("target", util::Json());
+  no_target.Set("causal_slice", std::move(null_slice));
+  EXPECT_TRUE(ValidateBlackbox(no_target).ok());
 }
 
 }  // namespace

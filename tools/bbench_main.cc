@@ -21,13 +21,13 @@
 //                         when a safety invariant was violated
 //   --profile=PATH        wall-clock profile of the run itself: writes a
 //                         blockbench-profile-v1 doc to PATH plus folded
-//                         stacks to PATH.folded (prof_report reads both)
+//                         stacks to PATH.folded (bbreport reads the doc)
 //   --metrics[=PATH]      print the per-node metrics table; with =PATH,
 //                         also write the registry as JSON to PATH
 //   --mem=PATH            per-subsystem memory accounting (logical bytes
 //                         on virtual time): prints the attribution table
 //                         and writes a blockbench-mem-v1 dump to PATH
-//                         (mem_report validates / diffs / gates it)
+//                         (bbreport validates / diffs / gates it)
 //   --blackbox=PATH       arm the flight recorder and dump the
 //                         blockbench-blackbox-v1 black box to PATH after
 //                         the run; with --audit, a violation dumps to
@@ -35,7 +35,8 @@
 //   --replay=PATH         re-run the configuration recorded in a blackbox
 //                         dump (explicit flags still override fields)
 //   --until=TIME[,SEQ]    with --replay: stop at virtual TIME, or right
-//                         after message seq SEQ was sent
+//                         after message seq SEQ was sent (",SEQ" alone
+//                         sets no time bound)
 //
 // Exit codes (documented here and in --help, nowhere else): 0 run ok,
 // 1 setup or output-write failure, 2 usage error, 3 run completed but
@@ -112,19 +113,20 @@ void Usage() {
   --audit=PATH (run the post-run ledger audit, write blockbench-audit-v1
                 JSON to PATH; exit code 3 on a safety-invariant violation)
   --profile=PATH (wall-clock-profile the run: blockbench-profile-v1 JSON
-                  to PATH, folded stacks to PATH.folded; see prof_report)
+                  to PATH, folded stacks to PATH.folded; see bbreport)
   --metrics[=PATH] (print the per-node metrics table after the run; with
                     =PATH also write the registry as JSON to PATH)
   --mem=PATH (account per-subsystem memory — logical bytes on virtual
               time; prints the attribution table and writes a
-              blockbench-mem-v1 dump to PATH for mem_report)
+              blockbench-mem-v1 dump to PATH for bbreport)
   --blackbox=PATH (arm the flight recorder; dump blockbench-blackbox-v1
                    JSON to PATH after the run. --audit alone also arms it
                    and dumps to AUDIT_PATH.blackbox.json on a violation)
   --replay=PATH (re-run the config recorded in a blackbox dump; explicit
-                 flags override recorded fields; see blackbox_report)
+                 flags override recorded fields; see bbreport)
   --until=TIME[,SEQ] (with --replay: stop at virtual second TIME, or as
-                      soon as message seq SEQ has been sent)
+                      soon as message seq SEQ has been sent; --until=,SEQ
+                      stops at the message seq alone)
   --list-platforms (print the platform registry and exit)
 
 exit codes: 0 run ok; 1 setup or output-write failure; 2 usage error;
@@ -210,12 +212,19 @@ examples: pbft+trie+evm   tendermint+bucket+native   pbft+trie+evm@shards=4
   a->audit_path = util::FlagValue(argc, argv, "--audit").value_or("");
   a->blackbox_path = util::FlagValue(argc, argv, "--blackbox").value_or("");
   if (auto until = util::FlagValue(argc, argv, "--until")) {
-    auto comma = until->find(',');
-    a->until_time = std::atof(until->substr(0, comma).c_str());
-    if (comma != std::string::npos) {
-      a->until_seq = std::strtoull(until->substr(comma + 1).c_str(),
-                                   nullptr, 10);
+    // An empty TIME ("--until=,SEQ") leaves the time bound off.
+    size_t comma = until->find(',');
+    std::string time = until->substr(0, comma);
+    bool has_seq = comma != std::string::npos;
+    bool ok = !time.empty() || has_seq;
+    if (!time.empty()) {
+      ok = ok && util::ParseDouble(time, &a->until_time) && a->until_time >= 0;
     }
+    if (has_seq) {
+      ok = ok && util::ParseUint(until->substr(comma + 1), &a->until_seq) &&
+           a->until_seq > 0;
+    }
+    if (!ok) util::MalformedFlag("--until", *until, "TIME, TIME,SEQ or ,SEQ");
   }
 
   // --crash is repeatable, so collect every occurrence by hand.
@@ -224,15 +233,21 @@ examples: pbft+trie+evm   tendermint+bucket+native   pbft+trie+evm@shards=4
     if (s.rfind("--crash=", 0) != 0) continue;
     std::string v = s.substr(sizeof("--crash=") - 1);
     auto at = v.find('@');
-    if (at == std::string::npos) return false;
-    a->crashes.emplace_back(uint64_t(std::atoll(v.substr(0, at).c_str())),
-                            std::atof(v.substr(at + 1).c_str()));
+    uint64_t id = 0;
+    double t = 0;
+    if (at == std::string::npos || !util::ParseUint(v.substr(0, at), &id) ||
+        !util::ParseDouble(v.substr(at + 1), &t)) {
+      util::MalformedFlag("--crash", v, "ID@T");
+    }
+    a->crashes.emplace_back(id, t);
   }
   if (auto part = util::FlagValue(argc, argv, "--partition")) {
     auto colon = part->find(':');
-    if (colon == std::string::npos) return false;
-    a->partition_start = std::atof(part->substr(0, colon).c_str());
-    a->partition_end = std::atof(part->substr(colon + 1).c_str());
+    if (colon == std::string::npos ||
+        !util::ParseDouble(part->substr(0, colon), &a->partition_start) ||
+        !util::ParseDouble(part->substr(colon + 1), &a->partition_end)) {
+      util::MalformedFlag("--partition", *part, "T0:T1");
+    }
   }
   return true;
 }
@@ -292,15 +307,19 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--replay: %s\n", doc.status().ToString().c_str());
       return 1;
     }
-    if (Status vs = obs::ValidateBlackbox(*doc); !vs.ok()) {
-      std::fprintf(stderr, "--replay: %s: %s\n", a.replay_path.c_str(),
-                   vs.ToString().c_str());
-      return 1;
-    }
-    auto spec = obs::RunSpec::FromJson(*doc->Get("run"));
+    // The recorded run spec stands in for the command line, so a field
+    // it cannot be read from is a usage error (2) like a malformed flag;
+    // any other defect makes the dump unreadable (1).
+    const util::Json* run = doc->Get("run");
+    auto spec = obs::RunSpec::FromJson(run != nullptr ? *run : util::Json());
     if (!spec.ok()) {
       std::fprintf(stderr, "--replay: %s: %s\n", a.replay_path.c_str(),
                    spec.status().ToString().c_str());
+      return 2;
+    }
+    if (Status vs = obs::ValidateBlackbox(*doc); !vs.ok()) {
+      std::fprintf(stderr, "--replay: %s: %s\n", a.replay_path.c_str(),
+                   vs.ToString().c_str());
       return 1;
     }
     static_cast<obs::RunSpec&>(a) = *spec;
@@ -561,7 +580,7 @@ int main(int argc, char** argv) {
     }
     std::printf("\nmemory attribution (logical bytes, virtual time):\n%s",
                 obs::RenderMemAttribution(memtracker->ToJson()).c_str());
-    std::printf("mem -> %s (mem_report validates / diffs / gates)\n",
+    std::printf("mem -> %s (bbreport validates / diffs / gates)\n",
                 a.mem_path.c_str());
   }
 
@@ -607,7 +626,7 @@ int main(int argc, char** argv) {
                    bs.ToString().c_str());
       return 1;
     }
-    std::printf("blackbox -> %s (blackbox_report %s renders the "
+    std::printf("blackbox -> %s (bbreport %s renders the "
                 "post-mortem)\n",
                 bb_path.c_str(), bb_path.c_str());
   }

@@ -1,17 +1,26 @@
-// Shared boilerplate for the report tools (audit_report, trace_report,
-// prof_report, bench_report, blackbox_report) and for bbench --replay:
-// slurp-and-parse of JSON documents plus the common argv split into
-// known flags and positional inputs. Header-only so the tools stay
-// single-translation-unit binaries.
+// Reading blockbench documents back: load a JSON file, tell its kind from
+// its content, validate and render it, and the --gate-* grammar. Used by
+// bbreport for every kind and by bbench --replay (LoadJson). Header-only
+// so the tests can drive the same reader over mutated documents.
+//
+// Each format's validator and renderer live beside its writer in src/obs;
+// only the two formats written outside src/obs are read here: the
+// blockbench-sweep-v1 documents of the bench binaries (bench/common.h)
+// and google-benchmark's --benchmark_out JSON.
 
 #ifndef BLOCKBENCH_TOOLS_REPORT_COMMON_H_
 #define BLOCKBENCH_TOOLS_REPORT_COMMON_H_
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <vector>
+#include <utility>
 
+#include "obs/auditor.h"
+#include "obs/memtrack.h"
+#include "obs/profiler.h"
+#include "obs/recorder.h"
+#include "obs/trace.h"
+#include "util/flags.h"
 #include "util/json.h"
 #include "util/status.h"
 
@@ -41,48 +50,163 @@ inline Result<util::Json> LoadJson(const std::string& path) {
   return doc;
 }
 
-/// The arg-split every report tool repeats: everything not starting with
-/// "--" is a positional input; flags must be an exact match in
-/// `known_bool` or a "NAME=" prefix match in `known_kv`. Returns false
-/// (and fills *bad_flag) on an unknown flag. Value extraction stays with
-/// the util::Flag* helpers; this only rejects typos and collects inputs.
-inline bool SplitArgs(int argc, char** argv,
-                      const std::vector<std::string>& known_bool,
-                      const std::vector<std::string>& known_kv,
-                      std::vector<std::string>* inputs,
-                      std::string* bad_flag) {
-  for (int i = 1; i < argc; ++i) {
-    std::string s = argv[i];
-    if (s.rfind("--", 0) != 0) {
-      inputs->push_back(s);
-      continue;
-    }
-    bool known = false;
-    for (const std::string& k : known_bool) {
-      if (s == k) {
-        known = true;
-        break;
-      }
-    }
-    for (const std::string& k : known_kv) {
-      if (s.rfind(k + "=", 0) == 0) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      if (bad_flag != nullptr) *bad_flag = s;
-      return false;
+// --- Document kinds ------------------------------------------------------------
+
+enum class DocKind { kAudit, kProfile, kMem, kBlackbox, kSweep, kMicro, kTrace };
+
+inline const char* KindName(DocKind kind) {
+  static const char* const kNames[] = {"audit", "profile", "mem",  "blackbox",
+                                       "sweep", "micro",   "trace"};
+  return kNames[size_t(kind)];
+}
+
+/// The kind a document declares: a blockbench "schema" tag, a
+/// google-benchmark "benchmarks" array or a Chrome "traceEvents" array.
+inline Result<DocKind> DetectKind(const util::Json& doc) {
+  static const std::pair<const char*, DocKind> kSchemas[] = {
+      {"blockbench-audit-v1", DocKind::kAudit},
+      {"blockbench-profile-v1", DocKind::kProfile},
+      {"blockbench-mem-v1", DocKind::kMem},
+      {"blockbench-blackbox-v1", DocKind::kBlackbox},
+      {"blockbench-sweep-v1", DocKind::kSweep},
+  };
+  const util::Json* schema = doc.Get("schema");
+  for (const auto& [tag, kind] : kSchemas) {
+    if (schema != nullptr && schema->is_string() && schema->AsString() == tag) {
+      return kind;
     }
   }
-  return true;
+  const util::Json* micro = doc.Get("benchmarks");
+  if (micro != nullptr && micro->is_array()) return DocKind::kMicro;
+  const util::Json* trace = doc.Get("traceEvents");
+  if (trace != nullptr && trace->is_array()) return DocKind::kTrace;
+  return Status::InvalidArgument(
+      "not a blockbench document: no known \"schema\" tag, no "
+      "\"benchmarks\" array (google-benchmark), no \"traceEvents\" array "
+      "(Chrome trace)");
+}
+
+/// A blockbench-sweep-v1 document beyond "it parsed": every row needs
+/// labels and a status, and successful rows need their metrics block.
+inline Status ValidateSweep(const util::Json& doc) {
+  const util::Json* schema = doc.Get("schema");
+  if (schema == nullptr || schema->AsString() != "blockbench-sweep-v1") {
+    return Status::InvalidArgument("schema is not blockbench-sweep-v1");
+  }
+  const util::Json* rows = doc.Get("rows");
+  if (rows == nullptr || !rows->is_array()) {
+    return Status::InvalidArgument("sweep document without rows");
+  }
+  for (size_t i = 0; i < rows->items().size(); ++i) {
+    const util::Json& row = rows->items()[i];
+    if (!row.is_object() || row.Get("labels") == nullptr ||
+        row.Get("status") == nullptr) {
+      return Status::InvalidArgument("row " + std::to_string(i) +
+                                     " missing labels/status");
+    }
+    const util::Json* status = row.Get("status");
+    if (status->is_string() && status->AsString() == "Ok" &&
+        row.Get("metrics") == nullptr) {
+      return Status::InvalidArgument("OK row " + std::to_string(i) +
+                                     " without metrics");
+    }
+  }
+  return Status::Ok();
+}
+
+/// google-benchmark output: a benchmarks array of named entries.
+inline Status ValidateMicro(const util::Json& doc) {
+  const util::Json* benchmarks = doc.Get("benchmarks");
+  if (benchmarks == nullptr || !benchmarks->is_array()) {
+    return Status::InvalidArgument("no benchmarks array");
+  }
+  for (const util::Json& b : benchmarks->items()) {
+    if (!b.is_object() || b.Get("name") == nullptr) {
+      return Status::InvalidArgument("benchmark entry without name");
+    }
+  }
+  return Status::Ok();
+}
+
+inline Status ValidateDocument(DocKind kind, const util::Json& doc) {
+  switch (kind) {
+    case DocKind::kAudit: return obs::ValidateAudit(doc);
+    case DocKind::kProfile: return obs::ValidateProfile(doc);
+    case DocKind::kMem: return obs::ValidateMemDump(doc);
+    case DocKind::kBlackbox: return obs::ValidateBlackbox(doc);
+    case DocKind::kSweep: return ValidateSweep(doc);
+    case DocKind::kMicro: return ValidateMicro(doc);
+    case DocKind::kTrace: {
+      obs::TraceSummary unused;
+      return obs::AnalyzeChromeTrace(doc, &unused);
+    }
+  }
+  return Status::Internal("unknown document kind");
+}
+
+/// Newest records of the interleaved cross-node timeline a blackbox
+/// post-mortem shows.
+constexpr size_t kBlackboxTimelineDepth = 40;
+
+/// Validates `doc` as `kind` and renders what bbreport prints for it,
+/// headed by `path`.
+inline Result<std::string> ReadDocument(DocKind kind, const util::Json& doc,
+                                        const std::string& path) {
+  if (kind == DocKind::kTrace) {
+    // One pass both validates the trace and gathers its report.
+    obs::TraceSummary summary;
+    BB_RETURN_IF_ERROR(obs::AnalyzeChromeTrace(doc, &summary));
+    return path + ": " + obs::RenderTraceSummary(summary);
+  }
+  BB_RETURN_IF_ERROR(ValidateDocument(kind, doc));
+  char buf[256];
+  switch (kind) {
+    case DocKind::kAudit:
+      return path + ": " + obs::RenderAuditSummary(doc);
+    case DocKind::kProfile: {
+      const util::Json* threads = doc.Get("threads");
+      uint64_t n = threads != nullptr ? threads->AsUint() : 0;
+      std::snprintf(buf, sizeof(buf), ": OK (%.3fs wall, %llu thread%s)\n",
+                    doc.Get("duration_seconds")->AsDouble(),
+                    (unsigned long long)n, n == 1 ? "" : "s");
+      return path + buf + obs::RenderProfileAttribution(doc) + "\n";
+    }
+    case DocKind::kMem:
+      return path + ": OK\n" + obs::RenderMemAttribution(doc) + "\n";
+    case DocKind::kBlackbox: {
+      std::string divergence = obs::FirstDivergence(doc);
+      return path + ": OK\n" + obs::RenderBlackboxSummary(doc) + "\n" +
+             obs::RenderBlackboxTimeline(doc, kBlackboxTimelineDepth) +
+             "\nfirst divergence: " +
+             (divergence.empty() ? "none (all commits agree)" : divergence) +
+             "\nreplay: bbench --replay=" + path + "\n";
+    }
+    case DocKind::kSweep: {
+      const auto& rows = doc.Get("rows")->items();
+      size_t with_mem = 0;
+      for (const util::Json& row : rows) with_mem += row.Get("mem") != nullptr;
+      std::snprintf(buf, sizeof(buf), ": %zu sweep rows", rows.size());
+      std::string out = path + buf;
+      if (with_mem > 0) {
+        std::snprintf(buf, sizeof(buf), ", %zu with mem blocks", with_mem);
+        out += buf;
+      }
+      return out + "\n";
+    }
+    case DocKind::kMicro:
+      std::snprintf(buf, sizeof(buf), ": %zu microbenchmarks\n",
+                    doc.Get("benchmarks")->items().size());
+      return path + buf;
+    case DocKind::kTrace:
+      break;
+  }
+  return Status::Internal("unknown document kind");
 }
 
 // --- --gate-* flag grammar ---------------------------------------------------
 //
-// Every report tool gates with the same three spec shapes; parsing them
-// here keeps bench_report / prof_report / mem_report byte-for-byte
-// consistent on selectors and bounds:
+// Gates share three spec shapes, so selectors and bounds parse the same
+// way for every document kind:
 //   * "NUM/DEN:BOUND"        two benchmark names and a ratio bound
 //   * "NAME:SEL1/SEL2:BOUND" two row selectors inside one sweep
 //   * "FILE:SEL:BOUND"       a committed snapshot + one row selector
@@ -92,9 +216,7 @@ inline bool SplitArgs(int argc, char** argv,
 
 /// Strict positive double ("1.03"); false on garbage or <= 0.
 inline bool ParsePositiveDouble(const std::string& s, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end != nullptr && *end == '\0' && !s.empty() && *out > 0;
+  return util::ParseDouble(s, out) && *out > 0;
 }
 
 /// "NUM_NAME/DEN_NAME:BOUND". Benchmark names may themselves contain
@@ -204,14 +326,14 @@ inline double SweepRowMetric(const util::Json& rows, const std::string& sel,
 /// shared gate format and returns whether the gate held. `is_floor`
 /// selects "value must stay >= bound" (speedup floors) over the default
 /// "value must stay <= bound" (overhead / growth ceilings).
-inline bool CheckGate(const char* tool, const std::string& label, double value,
-                      double bound, bool is_floor = false) {
+inline bool CheckGate(const std::string& label, double value, double bound,
+                      bool is_floor = false) {
   bool ok = is_floor ? value >= bound : value <= bound;
   if (ok) {
-    std::printf("%s: gate %s = %.4f (%s %.4f) OK\n", tool, label.c_str(),
+    std::printf("bbreport: gate %s = %.4f (%s %.4f) OK\n", label.c_str(),
                 value, is_floor ? "min" : "max", bound);
   } else {
-    std::fprintf(stderr, "%s: gate FAILED: %s = %.4f %s %.4f\n", tool,
+    std::fprintf(stderr, "bbreport: gate FAILED: %s = %.4f %s %.4f\n",
                  label.c_str(), value, is_floor ? "below" : "exceeds", bound);
   }
   return ok;

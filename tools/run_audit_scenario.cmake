@@ -1,15 +1,15 @@
 # Runs one audited partition scenario end to end and checks the exact
 # contract (invoked by ctest, see tools/CMakeLists.txt):
 #   EXPECT=violation  bbench must exit 3 (safety violated: the Fig 10
-#                     double-spend window) and audit_report must confirm
-#                     a double-digit forked-block share;
-#   EXPECT=clean      bbench must exit 0 and audit_report must confirm
-#                     zero forks plus a post-heal recovery gap.
+#                     double-spend window) and bbreport must confirm a
+#                     double-digit forked-block share;
+#   EXPECT=clean      bbench must exit 0 and bbreport must confirm zero
+#                     forks plus a post-heal recovery gap.
 #
-# Required -D vars: BBENCH, AUDIT_REPORT, PLATFORM, OUT, EXPECT,
-#                   DURATION, PARTITION.
+# Required -D vars: BBENCH, BBREPORT, PLATFORM, OUT, EXPECT, DURATION,
+#                   PARTITION.
 
-foreach(v BBENCH AUDIT_REPORT PLATFORM OUT EXPECT DURATION PARTITION)
+foreach(v BBENCH BBREPORT PLATFORM OUT EXPECT DURATION PARTITION)
   if(NOT DEFINED ${v})
     message(FATAL_ERROR "run_audit_scenario: missing -D${v}")
   endif()
@@ -27,7 +27,7 @@ if(EXPECT STREQUAL "violation")
                         "got ${bbench_rc}")
   endif()
   execute_process(
-    COMMAND ${AUDIT_REPORT} --expect-violation --min-forked-pct=10 ${OUT}
+    COMMAND ${BBREPORT} --expect-violation --min-forked-pct=10 ${OUT}
     RESULT_VARIABLE report_rc)
 elseif(EXPECT STREQUAL "clean")
   if(NOT bbench_rc EQUAL 0)
@@ -35,7 +35,7 @@ elseif(EXPECT STREQUAL "clean")
                         "got ${bbench_rc}")
   endif()
   execute_process(
-    COMMAND ${AUDIT_REPORT} --fail-on-violation --max-forked-pct=0
+    COMMAND ${BBREPORT} --fail-on-violation --max-forked-pct=0
             --require-recovery ${OUT}
     RESULT_VARIABLE report_rc)
 else()
@@ -43,5 +43,5 @@ else()
 endif()
 
 if(NOT report_rc EQUAL 0)
-  message(FATAL_ERROR "audit_report rejected ${OUT} (exit ${report_rc})")
+  message(FATAL_ERROR "bbreport rejected ${OUT} (exit ${report_rc})")
 endif()

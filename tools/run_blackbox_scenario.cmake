@@ -2,14 +2,16 @@
 # tools/CMakeLists.txt):
 #   1. an audited partitioned Ethereum-model run must exit 3 AND leave a
 #      flight-recorder dump next to the audit report;
-#   2. blackbox_report must validate the dump and render the post-mortem;
+#   2. bbreport must validate the dump and render the post-mortem;
 #   3. bbench --replay=DUMP must reproduce the SAME safety violation
-#      (exit 3 again) — the dump really is a re-runnable recording.
+#      (exit 3 again) — the dump really is a re-runnable recording;
+#   4. bbench --replay=DUMP --until=,SEQ (no time bound) must stop at the
+#      message-seq breakpoint.
 #
-# Required -D vars: BBENCH, BLACKBOX_REPORT, OUT (audit report path;
-#                   the dump lands at ${OUT}.blackbox.json).
+# Required -D vars: BBENCH, BBREPORT, OUT (audit report path; the dump
+#                   lands at ${OUT}.blackbox.json).
 
-foreach(v BBENCH BLACKBOX_REPORT OUT)
+foreach(v BBENCH BBREPORT OUT)
   if(NOT DEFINED ${v})
     message(FATAL_ERROR "run_blackbox_scenario: missing -D${v}")
   endif()
@@ -31,10 +33,10 @@ if(NOT EXISTS ${DUMP})
 endif()
 
 execute_process(
-  COMMAND ${BLACKBOX_REPORT} ${DUMP}
+  COMMAND ${BBREPORT} ${DUMP}
   RESULT_VARIABLE report_rc)
 if(NOT report_rc EQUAL 0)
-  message(FATAL_ERROR "blackbox_report rejected ${DUMP} (exit ${report_rc})")
+  message(FATAL_ERROR "bbreport rejected ${DUMP} (exit ${report_rc})")
 endif()
 
 # The replayed run re-audits (and re-dumps) under different paths so the
@@ -46,4 +48,14 @@ execute_process(
 if(NOT replay_rc EQUAL 3)
   message(FATAL_ERROR "replay did not reproduce the violation "
                       "(exit ${replay_rc}, expected 3)")
+endif()
+
+execute_process(
+  COMMAND ${BBENCH} --replay=${DUMP} --until=,100
+  RESULT_VARIABLE until_rc
+  OUTPUT_VARIABLE until_out)
+if(NOT until_rc EQUAL 0 OR
+   NOT until_out MATCHES "replay stopped at t=[0-9.]+ \\(message-seq breakpoint\\)")
+  message(FATAL_ERROR "--until=,100 did not stop at the message-seq "
+                      "breakpoint (exit ${until_rc}):\n${until_out}")
 endif()
